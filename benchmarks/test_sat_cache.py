@@ -89,7 +89,6 @@ def make_corpus() -> list[tuple[str, str]]:
 def sweep(
     files: list[tuple[str, str]],
     sat_cache: SatQueryCache | None,
-    solver: str = "cdcl",
     incremental: bool = True,
 ):
     tasks = [
@@ -99,7 +98,6 @@ def sweep(
     websari = WebSSARI(
         prelude=build_policy(),
         sat_cache=sat_cache,
-        solver=solver,
         sat_incremental=incremental,
     )
     engine = AuditEngine(websari=websari, config=EngineConfig(jobs=1, cache=None))
@@ -199,25 +197,27 @@ def test_cold_vs_warm_sat_cache(benchmark, tmp_path):
 
 
 @pytest.mark.benchmark(group="sat-incremental")
-def test_incremental_and_portfolio_sat(benchmark, tmp_path):
-    """ISSUE 8 contract: incremental enumeration + cross-query lemma
-    sharing make the *cold* sweep ≥ 1.5× faster than the pre-incremental
-    baseline (measured in-process via the ``sat_incremental=False``
-    ablation), with byte-identical verdicts; the portfolio backend
-    agrees on every verdict too.  A trajectory point with
-    ``assertions_per_second`` for all four sweeps lands in
-    ``BENCH_sat_cache.json`` (or ``$REPRO_BENCH_OUT`` in smoke mode, so
-    CI can archive the numbers without touching the tracked file).
+def test_incremental_sat(benchmark, tmp_path):
+    """Incremental-CDCL contract: the *cold* sweep is ≥ 1.5× faster than
+    the pre-incremental baseline (measured in-process via the
+    ``sat_incremental=False`` ablation), with byte-identical verdicts.
+    Decisions and conflicts are the same in both sweeps: the speedup is
+    data-structure work (the lazy order heap, assumption-prefix reuse,
+    trail-preserving clause adds, dead-clause sweeps), not shared
+    lemmas.  A trajectory point with ``assertions_per_second`` for all
+    three sweeps lands in ``BENCH_sat_cache.json`` (or
+    ``$REPRO_BENCH_OUT`` in smoke mode, so CI can archive the numbers
+    without touching the tracked file).
     """
     files = make_corpus()
     persist = tmp_path / "sat-inc"
 
-    # Pre-incremental baseline: per-solve backtrack-to-root, linear
-    # VSIDS scan, no lemma exchange — the seed solver's cold behaviour.
+    # Pre-incremental baseline: per-solve backtrack-to-root and a linear
+    # VSIDS scan — the seed solver's cold behaviour.
     baseline = sweep(files, SatQueryCache(), incremental=False)
 
-    # The headline configuration: incremental CDCL + clause import over
-    # a cold persistent cache.
+    # The headline configuration: incremental CDCL over a cold
+    # persistent cache.
     cold_cache = SatQueryCache(persist_dir=persist)
     cold = benchmark.pedantic(
         lambda: sweep(files, sat_cache=cold_cache), rounds=1, iterations=1
@@ -227,18 +227,14 @@ def test_incremental_and_portfolio_sat(benchmark, tmp_path):
     warm_cache = SatQueryCache(persist_dir=persist)
     warm = sweep(files, sat_cache=warm_cache)
 
-    # Portfolio racing, same corpus, fresh cache.
-    portfolio = sweep(files, SatQueryCache(), solver="portfolio")
-
     sweeps = [
         ("baseline", baseline),
         ("incremental", cold),
         ("warm", warm),
-        ("portfolio", portfolio),
     ]
     print()
     print(
-        f"SAT incremental/portfolio — {len(files)} files, "
+        f"SAT incremental — {len(files)} files, "
         f"{LEVELS}-level lattice, file-level cache disabled"
     )
     for label, result in sweeps:
@@ -247,8 +243,8 @@ def test_incremental_and_portfolio_sat(benchmark, tmp_path):
             f"{assertions_per_second(result):8.1f} assertions/s"
         )
 
-    # Verdict parity: incremental machinery and racing are invisible in
-    # the results.
+    # Verdict parity: the incremental machinery is invisible in the
+    # results.
     for label, result in sweeps[1:]:
         assert [o.safe for o in result.outcomes] == [
             o.safe for o in baseline.outcomes
@@ -273,14 +269,13 @@ def test_incremental_and_portfolio_sat(benchmark, tmp_path):
             "cold": assertions_per_second(baseline),
             "warm": assertions_per_second(warm),
             "incremental": assertions_per_second(cold),
-            "portfolio": assertions_per_second(portfolio),
         },
     }
     out = os.environ.get("REPRO_BENCH_OUT")
     if out:
         Path(out).write_text(json.dumps(point, indent=2, sort_keys=True) + "\n")
     if not SMOKE:
-        # Acceptance contract (ISSUE 8): ≥ 1.5× over the seed cold run.
+        # Acceptance contract: ≥ 1.5× over the seed cold run.
         assert speedup >= 1.5, (
             f"incremental cold speedup {speedup:.2f}x below the 1.5x contract"
         )

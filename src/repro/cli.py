@@ -2,32 +2,31 @@
 
 ```
 python -m repro verify  file.php [dir/ ...] [--detailed] [--prelude P]
-                        [--stats] [--solver cdcl|dpll|portfolio]
-                        [--restart-strategy geometric|luby] [--sat-seed N]
-                        [--trace out.json] [--sat-cache on|off]
-python -m repro audit   dir/ [--jobs N] [--timeout S] [--cache-dir D]
-                        [--no-cache] [--jsonl out.jsonl] [--detailed]
+                        [--stats] [--trace out.json] SOLVER-FLAGS
+python -m repro audit   dir/ [--jsonl out.jsonl] [--detailed]
                         [--trace out.json] [--metrics out.prom]
-                        [--solver cdcl|dpll|portfolio] [--sat-cache on|off]
-                        [--parse-cache on|off]
-                        [--restart-strategy geometric|luby] [--sat-seed N]
-                        [--shard I/N] [--start-method fork|spawn]
-python -m repro watch   dir/ [--interval S] [--debounce S] [--jobs N]
+                        [--shard I/N] SOLVER-FLAGS ENGINE-FLAGS
+python -m repro watch   dir/ [--interval S] [--debounce S]
                         [--serve-metrics [HOST]:PORT] [--out-dir D]
-                        [--once] [--cache-dir D] [--sat-cache on|off]
-                        [--parse-cache on|off]
+                        [--once] SOLVER-FLAGS ENGINE-FLAGS
 python -m repro serve   [--bind [HOST]:PORT] [--lease-timeout S]
                         [--submit PATH ...] [--jsonl-dir D]
                         [--trace out.json] [--drain-grace S]
-python -m repro work    --connect URL [--node NAME] [--jobs N]
-                        [--poll S] [--lease N] [--timeout S]
-                        [--start-method fork|spawn]
+python -m repro work    --connect URL [--node NAME] [--poll S] [--lease N]
+                        SOLVER-FLAGS ENGINE-FLAGS
 python -m repro report  audit.jsonl [--top N] [--json] [--html OUT]
 python -m repro report  --diff old.jsonl new.jsonl
 python -m repro patch   file.php [-o out.php] [--strategy bmc|ts]
 python -m repro html    file.php [-o report.html]
 python -m repro figure10 [--jobs N]
+
+SOLVER-FLAGS:  [--solver cdcl|dpll] [--sat-cache on|off] [--replay on|off]
+ENGINE-FLAGS:  [--jobs N] [--timeout S] [--cache-dir D] [--no-cache]
+               [--parse-cache on|off] [--start-method fork|spawn]
 ```
+
+``--sat-cache`` defaults to ``off`` for ``verify`` and ``on`` for the
+engine commands (``audit``, ``watch``, ``work``).
 
 ``verify`` walks files sequentially in-process; ``audit`` is the batch
 engine — a worker pool with per-file timeouts, crash isolation, and a
@@ -89,6 +88,66 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _solver_flags(sat_cache: str) -> argparse.ArgumentParser:
+    """SOLVER-FLAGS: the analysis options every verifying subcommand
+    shares.  A fresh parent per subcommand, because argparse shares
+    action objects between a parent and its children."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
+        "--solver", choices=("cdcl", "dpll"), default="cdcl",
+        help="SAT backend (dpll is the slow ablation baseline; folded into "
+        "the engine's policy fingerprint)",
+    )
+    flags.add_argument(
+        "--sat-cache", choices=("on", "off"), default=sat_cache,
+        help="memoize SAT queries by canonical CNF fingerprint across the "
+        "files of a run; the engine commands persist the memo under "
+        "<cache-dir>/sat, independent of --no-cache (default: %(default)s; "
+        "see docs/SOLVER.md)",
+    )
+    flags.add_argument(
+        "--replay", choices=("on", "off"), default="off",
+        help="concretely replay each counterexample through the PHP "
+        "interpreter with a synthesized witness request and report "
+        "confirmed/refuted/unsupported per trace (folded into the engine's "
+        "policy fingerprint; see docs/REPLAY.md)",
+    )
+    return flags
+
+
+def _engine_flags() -> argparse.ArgumentParser:
+    """ENGINE-FLAGS: worker-pool and cache options of the subcommands that
+    run the batch engine (``audit``, ``watch``, ``work``)."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument(
+        "--jobs", "-j", type=int, default=os.cpu_count() or 1,
+        help="worker processes (default: CPU count; 1 = run in-process)",
+    )
+    flags.add_argument(
+        "--timeout", type=_positive_float, default=None,
+        help="per-file wall-clock limit in seconds (needs --jobs >= 2)",
+    )
+    flags.add_argument(
+        "--cache-dir", type=Path, default=None,
+        help="result cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro-audit)",
+    )
+    flags.add_argument("--no-cache", action="store_true", help="disable the result cache")
+    flags.add_argument(
+        "--parse-cache", choices=("on", "off"), default="on",
+        help="memoize parse results by content hash, persisted under "
+        "<cache-dir>/parse so shared include files parse once per "
+        "content across entries, workers, and runs (folded into the "
+        "policy fingerprint; see docs/AUDIT_ENGINE.md)",
+    )
+    flags.add_argument(
+        "--start-method", choices=("fork", "spawn"), default=None,
+        help="worker-pool start method (default: fork where available; "
+        "spawn is the portable escape hatch — workers receive their "
+        "policy as an explicit session message either way)",
+    )
+    return flags
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -104,7 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser(
-        "verify", help="verify PHP files or directories", epilog=EXIT_CODES_HELP
+        "verify",
+        parents=[_solver_flags(sat_cache="off")],
+        help="verify PHP files or directories",
+        epilog=EXIT_CODES_HELP,
     )
     verify.add_argument("paths", nargs="+", type=Path)
     verify.add_argument("--detailed", action="store_true", help="print counterexample traces")
@@ -113,36 +175,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="print per-file SAT-solver and formula statistics",
     )
     verify.add_argument(
-        "--solver", choices=("cdcl", "dpll", "portfolio"), default="cdcl",
-        help="SAT backend (dpll is the slow ablation baseline)",
-    )
-    verify.add_argument(
-        "--sat-cache", choices=("on", "off"), default="off",
-        help="memoize SAT queries by canonical CNF fingerprint across the "
-        "files of this run (in-memory; see docs/SOLVER.md)",
-    )
-    verify.add_argument(
-        "--restart-strategy", choices=("geometric", "luby"), default="geometric",
-        help="CDCL restart schedule (primary lane in portfolio mode)",
-    )
-    verify.add_argument(
-        "--sat-seed", type=int, default=0, metavar="N",
-        help="deterministic VSIDS/phase seed for the CDCL solver "
-        "(0 = historical defaults; portfolio lanes derive their own)",
-    )
-    verify.add_argument(
-        "--replay", choices=("on", "off"), default="off",
-        help="concretely replay each counterexample through the PHP "
-        "interpreter with a synthesized witness request and report "
-        "confirmed/refuted/unsupported per trace (see docs/REPLAY.md)",
-    )
-    verify.add_argument(
         "--trace", type=Path, default=None, metavar="OUT.json",
         help="write a Chrome trace-event file of the run (open in Perfetto)",
     )
 
     audit = sub.add_parser(
         "audit",
+        parents=[_solver_flags(sat_cache="on"), _engine_flags()],
         help="batch-verify in parallel with result caching",
         description="Fan file-level verification over a worker pool with "
         "per-file timeouts, crash isolation, and a content-addressed "
@@ -151,19 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=EXIT_CODES_HELP,
     )
     audit.add_argument("paths", nargs="+", type=Path)
-    audit.add_argument(
-        "--jobs", "-j", type=int, default=os.cpu_count() or 1,
-        help="worker processes (default: CPU count; 1 = run in-process)",
-    )
-    audit.add_argument(
-        "--timeout", type=_positive_float, default=None,
-        help="per-file wall-clock limit in seconds (needs --jobs >= 2)",
-    )
-    audit.add_argument(
-        "--cache-dir", type=Path, default=None,
-        help="result cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro-audit)",
-    )
-    audit.add_argument("--no-cache", action="store_true", help="disable the result cache")
     audit.add_argument(
         "--jsonl", type=Path, default=None,
         help="stream per-file records and final stats to this JSONL file",
@@ -182,32 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a Prometheus text-format metrics snapshot of the run",
     )
     audit.add_argument(
-        "--solver", choices=("cdcl", "dpll", "portfolio"), default="cdcl",
-        help="SAT backend (dpll is the slow ablation baseline)",
-    )
-    audit.add_argument(
-        "--sat-cache", choices=("on", "off"), default="on",
-        help="memoize SAT queries by canonical CNF fingerprint, persisted "
-        "under <cache-dir>/sat so repeated code shapes accelerate even "
-        "cold (file-level-miss) runs; independent of --no-cache "
-        "(see docs/SOLVER.md)",
-    )
-    audit.add_argument(
-        "--parse-cache", choices=("on", "off"), default="on", dest="parse_cache",
-        help="memoize parse results by content hash, persisted under "
-        "<cache-dir>/parse so shared include files parse once per "
-        "content across entries, workers, and runs (see docs/AUDIT_ENGINE.md)",
-    )
-    audit.add_argument(
-        "--restart-strategy", choices=("geometric", "luby"), default="geometric",
-        help="CDCL restart schedule (primary lane in portfolio mode)",
-    )
-    audit.add_argument(
-        "--sat-seed", type=int, default=0, metavar="N",
-        help="deterministic VSIDS/phase seed for the CDCL solver "
-        "(0 = historical defaults; portfolio lanes derive their own)",
-    )
-    audit.add_argument(
         "--shard", metavar="I/N", default=None,
         help="audit only shard I of N (1-based): a deterministic "
         "content-hash partition of the corpus, disjoint and exhaustive "
@@ -215,22 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
         "sharing a --cache-dir can each take one shard with zero "
         "coordination (see docs/SERVICE.md)",
     )
-    audit.add_argument(
-        "--start-method", choices=("fork", "spawn"), default=None,
-        help="worker-pool start method (default: fork where available; "
-        "spawn is the portable escape hatch — workers receive their "
-        "policy as an explicit session message either way)",
-    )
-    audit.add_argument(
-        "--replay", choices=("on", "off"), default="off",
-        help="concretely replay each counterexample through the PHP "
-        "interpreter and record confirmed/refuted/unsupported verdicts "
-        "per file (folded into the policy fingerprint, so toggling it "
-        "invalidates cached results; see docs/REPLAY.md)",
-    )
 
     watch = sub.add_parser(
         "watch",
+        parents=[_solver_flags(sat_cache="on"), _engine_flags()],
         help="re-audit a tree continuously as files change",
         description="Incremental re-audit daemon: poll ROOT for changed "
         ".php files every --interval seconds and push only the dirty set "
@@ -256,21 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(in-progress writes; 0 disables, default 0.5)",
     )
     watch.add_argument(
-        "--jobs", "-j", type=int, default=os.cpu_count() or 1,
-        help="worker processes per cycle (default: CPU count; 1 = inline)",
-    )
-    watch.add_argument(
-        "--timeout", type=_positive_float, default=None,
-        help="per-file wall-clock limit in seconds (needs --jobs >= 2)",
-    )
-    watch.add_argument(
-        "--cache-dir", type=Path, default=None,
-        help="result cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro-audit)",
-    )
-    watch.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
-    watch.add_argument(
         "--out-dir", type=Path, default=None,
         help="per-cycle JSONL directory (default: <cache-dir>/watch)",
     )
@@ -287,37 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     watch.add_argument(
         "--quiet", "-q", action="store_true", help="suppress per-cycle summaries"
-    )
-    watch.add_argument(
-        "--solver", choices=("cdcl", "dpll", "portfolio"), default="cdcl",
-        help="SAT backend (dpll is the slow ablation baseline)",
-    )
-    watch.add_argument(
-        "--sat-cache", choices=("on", "off"), default="on",
-        help="persistent SAT-query memo under <cache-dir>/sat (see docs/SOLVER.md)",
-    )
-    watch.add_argument(
-        "--parse-cache", choices=("on", "off"), default="on", dest="parse_cache",
-        help="content-hash parse memo under <cache-dir>/parse "
-        "(see docs/DAEMON.md)",
-    )
-    watch.add_argument(
-        "--restart-strategy", choices=("geometric", "luby"), default="geometric",
-        help="CDCL restart schedule (primary lane in portfolio mode)",
-    )
-    watch.add_argument(
-        "--sat-seed", type=int, default=0, metavar="N",
-        help="deterministic VSIDS/phase seed for the CDCL solver "
-        "(0 = historical defaults; portfolio lanes derive their own)",
-    )
-    watch.add_argument(
-        "--start-method", choices=("fork", "spawn"), default=None,
-        help="worker-pool start method (default: fork where available)",
-    )
-    watch.add_argument(
-        "--replay", choices=("on", "off"), default="off",
-        help="concretely replay counterexamples through the interpreter "
-        "(folded into the policy fingerprint; see docs/REPLAY.md)",
     )
 
     serve = sub.add_parser(
@@ -364,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     work = sub.add_parser(
         "work",
+        parents=[_solver_flags(sat_cache="on"), _engine_flags()],
         help="run a worker node attached to a coordinator",
         description="Worker node for the distributed audit service: "
         "registers with a `repro serve` coordinator, leases batches of "
@@ -386,10 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: <hostname>-<pid>)",
     )
     work.add_argument(
-        "--jobs", "-j", type=int, default=os.cpu_count() or 1,
-        help="local worker processes (default: CPU count; 1 = in-process)",
-    )
-    work.add_argument(
         "--lease", type=int, default=None, metavar="N",
         help="tasks to lease per batch (default: 2x --jobs)",
     )
@@ -398,48 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds between lease polls when idle (default 1.0)",
     )
     work.add_argument(
-        "--timeout", type=_positive_float, default=None,
-        help="per-file wall-clock limit in seconds (needs --jobs >= 2)",
-    )
-    work.add_argument(
-        "--cache-dir", type=Path, default=None,
-        help="result cache directory (default: $REPRO_CACHE_DIR or ~/.cache/repro-audit)",
-    )
-    work.add_argument("--no-cache", action="store_true", help="disable the result cache")
-    work.add_argument(
         "--quiet", "-q", action="store_true", help="suppress per-batch progress lines"
-    )
-    work.add_argument(
-        "--solver", choices=("cdcl", "dpll", "portfolio"), default="cdcl",
-        help="SAT backend (must match the rest of the fleet)",
-    )
-    work.add_argument(
-        "--sat-cache", choices=("on", "off"), default="on",
-        help="persistent SAT-query memo under <cache-dir>/sat",
-    )
-    work.add_argument(
-        "--parse-cache", choices=("on", "off"), default="on", dest="parse_cache",
-        help="content-hash parse memo under <cache-dir>/parse (folded into "
-        "the policy fingerprint: must match the rest of the fleet)",
-    )
-    work.add_argument(
-        "--restart-strategy", choices=("geometric", "luby"), default="geometric",
-        help="CDCL restart schedule (primary lane in portfolio mode)",
-    )
-    work.add_argument(
-        "--sat-seed", type=int, default=0, metavar="N",
-        help="deterministic VSIDS/phase seed for the CDCL solver "
-        "(0 = historical defaults; portfolio lanes derive their own)",
-    )
-    work.add_argument(
-        "--start-method", choices=("fork", "spawn"), default=None,
-        help="local worker-pool start method (default: fork where available)",
-    )
-    work.add_argument(
-        "--replay", choices=("on", "off"), default="off",
-        help="concretely replay counterexamples through the interpreter "
-        "(folded into the policy fingerprint: must match the rest of "
-        "the fleet; see docs/REPLAY.md)",
     )
 
     report = sub.add_parser(
@@ -545,8 +443,6 @@ def _make_websari(args: argparse.Namespace) -> WebSSARI:
         prelude=prelude,
         solver=getattr(args, "solver", "cdcl"),
         sat_cache=sat_cache,
-        restart_strategy=getattr(args, "restart_strategy", "geometric"),
-        sat_seed=getattr(args, "sat_seed", 0),
         parse_cache=parse_cache,
         replay=getattr(args, "replay", "off") == "on",
     )
@@ -577,25 +473,11 @@ def _solver_stats_lines(report) -> list[str]:
             f"  sat-cache: {totals.get('cache_hits', 0)} hit(s), "
             f"{totals.get('cache_misses', 0)} miss(es)"
         )
-    if totals.get("learned_imported", 0) or totals.get("root_satisfied_deleted", 0):
+    if totals.get("root_satisfied_deleted", 0):
         lines.append(
-            f"  incremental: {totals.get('learned_imported', 0)} learned "
-            f"clause(s) imported, {totals.get('root_satisfied_deleted', 0)} "
+            f"  incremental: {totals['root_satisfied_deleted']} "
             "dead clause(s) reclaimed"
         )
-    if totals.get("portfolio_races", 0):
-        wins = ", ".join(
-            f"{name[len('portfolio_win_'):].replace('_', '-')} x{count}"
-            for name, count in sorted(totals.items())
-            if name.startswith("portfolio_win_")
-        )
-        line = (
-            f"  portfolio: {totals.get('portfolio_races', 0)} race(s), "
-            f"{totals.get('portfolio_wasted_conflicts', 0)} wasted conflict(s)"
-        )
-        if wins:
-            line += f"; wins: {wins}"
-        lines.append(line)
     lines.append(
         f"  formula: {bmc.num_vars} var(s), {bmc.num_clauses} clause(s), "
         f"{bmc.solve_seconds:.3f}s solving"

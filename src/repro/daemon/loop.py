@@ -199,9 +199,9 @@ class WatchLoop:
         dirty = sorted(set(delta.dirty) | set(invalidated))
 
         project = _TreeProject({self._rel(path): path for path in sorted(tracked)})
-        parse_cache = getattr(self.websari, "parse_cache", None)
+        parse_cache = self.websari.parse_cache
         do_parse = parse_cache.parse if parse_cache is not None else None
-        closure_keys = getattr(self.websari, "closure_keys", True)
+        closure_keys = self.websari.closure_keys
         whole_tree: dict[str, str] | None = None
         whole_digest: str | None = None
 

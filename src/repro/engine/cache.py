@@ -53,8 +53,12 @@ __all__ = [
 #:  entries switched from whole-project to closure-scoped cache keys —
 #:  old whole-project entries must become clean misses.
 #:  7: records gained the per-file ``replay`` section (concrete witness
-#:  replay verdicts) — pre-replay entries must become clean misses.)
-ENGINE_VERSION = "7"
+#:  replay verdicts) — pre-replay entries must become clean misses.
+#:  8: one CDCL configuration — the portfolio backend, cross-query
+#:  learned-clause import, Luby restarts and seeded search were removed,
+#:  so records lose their ``learned_imported``/``portfolio_*`` counters
+#:  and the fingerprint loses ``restart_strategy``/``sat_seed``.)
+ENGINE_VERSION = "8"
 
 #: Cache record schema version (independent of verdict semantics).
 _RECORD_VERSION = 1
@@ -91,28 +95,24 @@ def policy_fingerprint(websari: "WebSSARI") -> str:
                 "sanitize_in_place": websari.sanitize_in_place,
                 # Both backends must agree on verdicts, but cached records
                 # embed per-backend solver counters, so key them apart.
-                "solver": getattr(websari, "solver", "cdcl"),
+                "solver": websari.solver,
                 # Same coherence rule for the SAT-level query cache: it
                 # never changes verdicts, but records embed its hit/miss
                 # counters, so runs with and without it must not alias.
-                "sat_cache": getattr(websari, "sat_cache", None) is not None,
-                # Restart schedule and VSIDS/phase seed steer the search
-                # order: verdict-neutral, counter-visible — same rule.
-                "restart_strategy": getattr(websari, "restart_strategy", "geometric"),
-                "sat_seed": getattr(websari, "sat_seed", 0),
+                "sat_cache": websari.sat_cache is not None,
                 # Ablation switch for the incremental machinery: verdicts
                 # agree either way, embedded counters do not.
-                "sat_incremental": getattr(websari, "sat_incremental", True),
+                "sat_incremental": websari.sat_incremental,
                 # Parse cache and closure-scoped keying are verdict-
                 # neutral too, but records embed parse-cache counters and
                 # closure scoping changes what a key covers — runs with
                 # different switches must not alias.
-                "parse_cache": getattr(websari, "parse_cache", None) is not None,
-                "closure_keys": getattr(websari, "closure_keys", True),
+                "parse_cache": websari.parse_cache is not None,
+                "closure_keys": websari.closure_keys,
                 # Witness replay adds the ``replay`` section to records:
                 # verdict-neutral, record-visible — runs with and without
                 # it must not serve each other's entries.
-                "replay": getattr(websari, "replay", False),
+                "replay": websari.replay,
             },
         },
         sort_keys=True,

@@ -268,7 +268,7 @@ def _run_stages(
     includes_info: dict = {}
     tracer = get_tracer()
 
-    parse_cache = getattr(websari, "parse_cache", None)
+    parse_cache = websari.parse_cache
     do_parse = parse_cache.parse if parse_cache is not None else parse
 
     clock = time.perf_counter
@@ -323,19 +323,16 @@ def _run_stages(
         renamed = rename(ai_program)
     timings["ai"] = clock() - mark
 
-    solver_backend = getattr(websari, "solver", "cdcl")
     mark = clock()
-    with tracer.span("sat", backend=solver_backend):
+    with tracer.span("sat", backend=websari.solver):
         bmc_result = check_program(
             renamed,
             lattice=websari.lattice,
             accumulate=websari.accumulate,
             max_counterexamples=websari.max_counterexamples,
-            solver_backend=solver_backend,
-            sat_cache=getattr(websari, "sat_cache", None),
-            restart_strategy=getattr(websari, "restart_strategy", "geometric"),
-            sat_seed=getattr(websari, "sat_seed", 0),
-            sat_incremental=getattr(websari, "sat_incremental", True),
+            solver_backend=websari.solver,
+            sat_cache=websari.sat_cache,
+            sat_incremental=websari.sat_incremental,
         )
         grouping = group_errors(bmc_result)
     timings["sat"] = clock() - mark
@@ -352,7 +349,7 @@ def _run_stages(
     )
 
     replay_info: dict = {}
-    if getattr(websari, "replay", False) and not report.safe:
+    if websari.replay and not report.safe:
         from repro.replay import replay_for_task
 
         mark = clock()

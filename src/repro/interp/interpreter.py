@@ -27,6 +27,7 @@ from repro.interp.values import (
     to_string,
 )
 from repro.php import ast_nodes as ast
+from repro.php.includes import SourceProject, find_include_target
 from repro.php.parser import parse
 
 __all__ = ["Interpreter", "PhpRuntimeError", "PhpFatalError", "run_php"]
@@ -68,7 +69,9 @@ class Interpreter:
     ) -> None:
         self.env = environment if environment is not None else ExecutionEnvironment()
         self.max_steps = max_steps
-        self.files = files or {}
+        #: Files ``include``/``require`` can reach, looked up with the
+        #: static resolver's rule (:func:`find_include_target`).
+        self.files = SourceProject(files)
         self._steps = 0
         self.globals: dict[str, object] = dict(self.env.request.superglobals())
         self.functions: dict[str, ast.FunctionDecl] = {}
@@ -79,6 +82,7 @@ class Interpreter:
 
     def run(self, source: str, filename: str = "<string>") -> ExecutionEnvironment:
         program = parse(source, filename)
+        self._included.add(SourceProject.normalize(filename))
         self._hoist_functions(program.statements)
         try:
             self._exec_all(program.statements, self.globals)
@@ -567,15 +571,18 @@ class Interpreter:
 
     def _include(self, expr: ast.IncludeExpr, scope: dict) -> object:
         path = to_string(self._eval(expr.path, scope))
-        if expr.kind.endswith("_once") and path in self._included:
-            return True
-        source = self.files.get(path)
-        if source is None:
+        # The including file is the one this include expression was
+        # parsed from, so a function body resolves relative to its own
+        # file — as the static resolver splices it.
+        target = find_include_target(self.files, expr.span.filename, path)
+        if target is None:
             if expr.kind.startswith("require"):
                 raise PhpFatalError(f"required file {path!r} not found")
             return False
-        self._included.add(path)
-        program = parse(source, path)
+        if expr.kind.endswith("_once") and target in self._included:
+            return True
+        self._included.add(target)
+        program = parse(self.files.source(target), target)
         self._hoist_functions(program.statements)
         self._exec_all(program.statements, scope)
         return True
@@ -988,11 +995,14 @@ def run_php(
     files: dict[str, str] | None = None,
     session: dict | None = None,
     max_steps: int = 1_000_000,
+    filename: str = "<string>",
 ) -> ExecutionEnvironment:
     """Execute PHP source against a simulated request; return the environment.
 
-    Pass the same ``database`` and ``session`` dictionaries across calls
-    to simulate a sequence of requests against one application instance.
+    ``filename`` names the source within ``files``'s project: includes
+    are looked up next to it first.  Pass the same ``database`` and
+    ``session`` dictionaries across calls to simulate a sequence of
+    requests against one application instance.
     """
     env = ExecutionEnvironment(request=request or HttpRequest())
     if database is not None:
@@ -1000,5 +1010,5 @@ def run_php(
     if session is not None:
         env.session_store = session
     interpreter = Interpreter(environment=env, max_steps=max_steps, files=files)
-    interpreter.run(source)
+    interpreter.run(source, filename)
     return env

@@ -265,8 +265,6 @@ def _format_slow_query(query: dict) -> str:
     ]
     if counters:
         parts.append(", ".join(counters))
-    if query.get("winner"):
-        parts.append(f"won by {query['winner']}")
     if query.get("node"):
         parts.append(f"node {query['node']}")
     fingerprint = query.get("fingerprint")
@@ -353,26 +351,9 @@ def render_report(run: AuditRun, top: int = 10) -> str:
         ]
         if parts:
             lines.append("solver: " + ", ".join(parts))
-        imported = int(solver_totals.get("learned_imported", 0))
         reclaimed = int(solver_totals.get("root_satisfied_deleted", 0))
-        if imported or reclaimed:
-            lines.append(
-                f"incremental: {imported} learned clause(s) imported, "
-                f"{reclaimed} dead clause(s) reclaimed"
-            )
-        races = int(solver_totals.get("portfolio_races", 0))
-        if races:
-            wasted = int(solver_totals.get("portfolio_wasted_conflicts", 0))
-            prefix = "portfolio_win_"
-            wins = ", ".join(
-                f"{name[len(prefix):].replace('_', '-')} x{int(count)}"
-                for name, count in sorted(solver_totals.items())
-                if name.startswith(prefix)
-            )
-            line = f"portfolio: {races} race(s), {wasted} wasted conflict(s)"
-            if wins:
-                line += f"; wins: {wins}"
-            lines.append(line)
+        if reclaimed:
+            lines.append(f"incremental: {reclaimed} dead clause(s) reclaimed")
 
     include_totals = _sum_dicts(records, "includes")
     if include_totals:

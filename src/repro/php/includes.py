@@ -19,6 +19,10 @@ Semantics implemented:
   unresolved and left in place, where the flow analysis treats them as
   no-ops.
 
+A constant include path is looked up next to the including file first,
+then from the project root (:func:`find_include_target`); the static
+resolver, the closure scanner and the interpreter all use that one rule.
+
 Both :func:`resolve_includes` and the flat dependency scanner
 :func:`scan_includes` accept a ``parse_hook`` — any callable with the
 :func:`repro.php.parser.parse` signature, typically a
@@ -41,6 +45,7 @@ __all__ = [
     "SourceProject",
     "IncludeResolution",
     "IncludeScan",
+    "find_include_target",
     "resolve_includes",
     "scan_includes",
 ]
@@ -121,6 +126,17 @@ def _constant_path(expr: ast.Expression) -> str | None:
     return None
 
 
+def find_include_target(project: SourceProject, includer: str, path: str) -> str | None:
+    """The project file a constant include ``path`` names when written in
+    ``includer``: the file next to the includer if there is one, else the
+    file at ``path`` from the project root.  Returns its normalized path,
+    or None when neither exists."""
+    includer_dir = posixpath.dirname(includer)
+    candidates = [posixpath.join(includer_dir, path), path] if includer_dir else [path]
+    found = next((c for c in candidates if project.has(c)), None)
+    return project.normalize(found) if found is not None else None
+
+
 def resolve_includes(
     project: SourceProject,
     entry: str,
@@ -160,18 +176,13 @@ def resolve_includes(
                 resolution.unresolved.append(str(include.span))
                 out.append(stmt)
                 continue
-            current_dir = posixpath.dirname(active_stack[-1]) if active_stack else ""
-            candidates = [path]
-            if current_dir:
-                candidates.insert(0, posixpath.join(current_dir, path))
-            found = next((c for c in candidates if project.has(c)), None)
-            if found is None:
+            normalized = find_include_target(project, active_stack[-1], path)
+            if normalized is None:
                 message = f"{include.kind} target {path!r} not found (from {include.span})"
                 if include.kind.startswith("require"):
                     raise IncludeError(message, include.span)
                 resolution.warnings.append(message)
                 continue
-            normalized = project.normalize(found)
             resolution.edges.append((active_stack[-1], normalized))
             if include.kind.endswith("_once") and normalized in once_included:
                 continue
@@ -344,7 +355,6 @@ def scan_includes(
         except Exception:  # noqa: BLE001 - unparsable member: includes unknown
             scan.parse_failures.append(current)
             continue
-        current_dir = posixpath.dirname(current)
         for stmt in _iter_statements(program.statements):
             include = _as_include_statement(stmt)
             if include is None:
@@ -353,14 +363,10 @@ def scan_includes(
             if path is None:
                 scan.unresolved.append(str(include.span))
                 continue
-            candidates = [path]
-            if current_dir:
-                candidates.insert(0, posixpath.join(current_dir, path))
-            found = next((c for c in candidates if project.has(c)), None)
-            if found is None:
+            normalized = find_include_target(project, current, path)
+            if normalized is None:
                 scan.missing.append(path)
                 continue
-            normalized = project.normalize(found)
             targets.add(normalized)
             scan.edges.append((current, normalized))
             if normalized not in scan.closure:

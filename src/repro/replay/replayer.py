@@ -198,7 +198,7 @@ def _parse_tables(sources: dict[str, str]):
     return table, list(input_keys)
 
 
-def _run(source, request, files, database, session, max_steps):
+def _run(entry, source, request, files, database, session, max_steps):
     include_files = {k: v for k, v in files.items()} if files else None
     return run_php(
         source,
@@ -207,6 +207,7 @@ def _run(source, request, files, database, session, max_steps):
         files=include_files,
         session=session,
         max_steps=max_steps,
+        filename=entry,
     )
 
 
@@ -261,7 +262,7 @@ def replay_counterexamples(
         log_start = len(database.query_log) if database is not None else 0
         try:
             env = _run(
-                entry_source, request, include_files, database, session, max_steps
+                entry, entry_source, request, include_files, database, session, max_steps
             )
         except PhpRuntimeError as exc:
             result.reason = f"interpreter: {exc}"
@@ -298,6 +299,7 @@ def replay_counterexamples(
             )
             try:
                 patched_env = _run(
+                    entry,
                     patched[entry],
                     request,
                     patched_includes,

@@ -30,17 +30,6 @@ exactly the value both backend solvers assign to unconstrained
 variables, so replayed enumerations are verdict- and trace-identical to
 solved ones.
 
-**Learned-clause sharing.**  A model replay only helps when the *exact*
-query (formula + assumptions) was seen before.  One rung below that, a
-cache miss whose canonical clause stream matches a previously-solved
-query can still skip most of the search: the facade stores the donor
-solver's best learned clauses (top-K by LBD, canonically renamed) under
-the formula's stream hash, and on a miss imports them — renamed back
-through the inverse variable map — into the fresh backend before
-solving.  Learned clauses are consequences of the clause set alone (the
-resolution derivation folds assumption literals into the clause), so an
-import into any solver over an isomorphic clause set is sound.
-
 **Sharing.**  :class:`SatQueryCache` is the store: an in-memory LRU for
 one process/run plus optional on-disk persistence using the same
 git-object fan-out layout and atomic write discipline as the engine's
@@ -68,7 +57,9 @@ __all__ = ["SAT_CACHE_VERSION", "SatQueryCache", "CachingSatSolver"]
 #: Bump whenever the fingerprint scheme or record layout changes; stale
 #: on-disk entries then become misses instead of wrong answers.
 #: (2: learned-clause records joined the keyspace and the CDCL backend
-#: became incremental, which changes the counters embedded in records.)
+#: became incremental, which changes the counters embedded in records.
+#: Learned-clause records are no longer written or read; query records
+#: are unchanged, so warm version-2 caches stay valid.)
 SAT_CACHE_VERSION = "2"
 
 
@@ -90,8 +81,6 @@ class SatQueryCache:
         #: counters that feed reports live in SolverStats).
         self.hits = 0
         self.misses = 0
-        self.learned_hits = 0
-        self.learned_stores = 0
 
     # -- pickling ---------------------------------------------------------
 
@@ -169,53 +158,6 @@ class SatQueryCache:
         while len(self._memo) > self.max_entries:
             self._memo.popitem(last=False)
 
-    # -- learned-clause records -------------------------------------------
-
-    @staticmethod
-    def _valid_learned(record: object) -> bool:
-        return (
-            isinstance(record, dict)
-            and isinstance(record.get("learned"), list)
-            and all(
-                isinstance(entry, list)
-                and len(entry) >= 2
-                and all(isinstance(x, int) for x in entry)
-                for entry in record["learned"]
-            )
-        )
-
-    def get_learned(self, key: str) -> list[list[int]] | None:
-        """Learned-clause record lookup (``[[lbd, lit, ...], ...]``).
-
-        Deliberately does *not* touch :attr:`hits`/:attr:`misses` — those
-        count model-replay probes; learned-clause probes are a secondary
-        accelerator whose effect shows up in ``learned_imported``."""
-        record = self._memo.get(key)
-        if record is not None:
-            self._memo.move_to_end(key)
-            self.learned_hits += 1
-            return record["learned"]
-        if self.persist_dir is not None:
-            path = self._path(key)
-            try:
-                record = json.loads(path.read_text())
-            except (OSError, ValueError):
-                record = None
-            if record is not None and self._valid_learned(record):
-                self._remember(key, record)
-                self.learned_hits += 1
-                return record["learned"]
-            if record is not None:  # corrupt: evict
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-        return None
-
-    def put_learned(self, key: str, entries: list[list[int]]) -> None:
-        self.learned_stores += 1
-        self.put(key, {"learned": entries})
-
     def __len__(self) -> int:
         return len(self._memo)
 
@@ -238,18 +180,9 @@ class CachingSatSolver:
         inner,
         cache: SatQueryCache,
         backend: str = "cdcl",
-        learned_export_min_conflicts: int = 8,
-        share_learned: bool = True,
     ) -> None:
         self._inner = inner
         self._cache = cache
-        #: False disables cross-query lemma exchange entirely (ablation
-        #: baselines and backends whose lemmas are not exportable).
-        self._share_learned = share_learned
-        #: Only persist lemmas from solves that did real search work —
-        #: importing a trivial query's lemmas saves less than the probe
-        #: and write cost.
-        self._export_min_conflicts = learned_export_min_conflicts
         self._canon: dict[int, int] = {}  # original var -> canonical var
         self._max_var = 0
         #: Clauses not yet fed to ``inner``: the backend is materialized
@@ -268,13 +201,6 @@ class CachingSatSolver:
         #: Canonical-CNF fingerprint of the most recent solve() — the slow-
         #: query ledger's stable cross-node query identity.
         self.last_query_key: str | None = None
-        #: Winning portfolio configuration of the most recent solve, when
-        #: the backend races one (None on cache hits and plain backends).
-        self.last_winner: str | None = None
-        #: Formula-stream keys whose learned clauses were already imported
-        #: into this backend instance (never import the same lemma set
-        #: twice, including the set this instance itself exported).
-        self._learned_seen: set[str] = set()
 
     # -- canonicalization --------------------------------------------------
 
@@ -316,18 +242,13 @@ class CachingSatSolver:
                 self._inner.add_clause(item)
         self._pending.clear()
 
-    def solve(
-        self,
-        assumptions: Iterable[int] = (),
-        conflict_budget: int | None = None,
-    ) -> SolveResult:
+    def solve(self, assumptions: Iterable[int] = ()) -> SolveResult:
         assumptions = tuple(assumptions)
         key = self._query_key(assumptions)
         # Exposed for observability: the BMC checker records this as the
         # slow-query ledger fingerprint, tying hard queries back to their
         # canonical-CNF cache entries.
         self.last_query_key = key
-        self.last_winner = None
         record = self._cache.get(key)
         if record is not None:
             self.stats = SolverStats(cache_hits=1)
@@ -339,21 +260,10 @@ class CachingSatSolver:
                 stats=self.stats,
             )
         self._flush()
-        if self._share_learned:
-            self._import_learned()
-        result = self._inner.solve(
-            assumptions=assumptions, conflict_budget=conflict_budget
-        )
+        result = self._inner.solve(assumptions=assumptions)
         self.stats = result.stats
-        self.last_winner = getattr(self._inner, "last_winner", None)
         result.stats.cache_misses += 1
-        if (
-            self._share_learned
-            and result.satisfiable is not None
-            and result.stats.conflicts >= self._export_min_conflicts
-        ):
-            self._export_learned()
-        if result.satisfiable is True and result.model is not None:
+        if result.satisfiable:
             self._cache.put(
                 key,
                 {
@@ -363,7 +273,7 @@ class CachingSatSolver:
                     ),
                 },
             )
-        elif result.satisfiable is False:
+        else:
             self._cache.put(key, {"sat": False, "true": []})
         return result
 
@@ -390,69 +300,6 @@ class CachingSatSolver:
         query.update(b"|")
         query.update(",".join(parts).encode())
         return query.hexdigest()
-
-    # -- cross-query learned-clause sharing --------------------------------
-
-    def _formula_key(self) -> str:
-        """Key of the learned-clause record for the current clause stream.
-
-        Lives in its own namespace (``|learned`` marker, which no
-        assumption rendering can produce) so it never aliases a query
-        key."""
-        fkey = self._hash.copy()
-        fkey.update(b"|learned")
-        return fkey.hexdigest()
-
-    def _import_learned(self) -> None:
-        """On a miss, seed the backend with the lemmas a previous solver
-        learned over an isomorphic clause stream (renamed back through
-        the inverse of the canonical map)."""
-        importer = getattr(self._inner, "import_learned", None)
-        if importer is None:
-            return
-        fkey = self._formula_key()
-        if fkey in self._learned_seen:
-            return
-        self._learned_seen.add(fkey)
-        entries = self._cache.get_learned(fkey)
-        if not entries:
-            return
-        inverse = {c: orig for orig, c in self._canon.items()}
-        records: list[tuple[list[int], int]] = []
-        for entry in entries:
-            lbd, canon_lits = entry[0], entry[1:]
-            lits: list[int] = []
-            for lit in canon_lits:
-                orig = inverse.get(abs(lit))
-                if orig is None:
-                    break  # donor variable outside this stream: skip clause
-                lits.append(orig if lit > 0 else -orig)
-            else:
-                records.append((lits, lbd))
-        if records:
-            importer(records)
-
-    def _export_learned(self, limit: int = 64) -> None:
-        """After a miss is solved, persist the backend's best lemmas under
-        the formula's stream key (canonically renamed) so isomorphic
-        future queries can import them."""
-        exporter = getattr(self._inner, "export_learned", None)
-        if exporter is None:
-            return
-        entries: list[list[int]] = []
-        for lits, lbd in exporter(limit=limit):
-            canon_lits: list[int] = []
-            for lit in lits:
-                c = self._canon.get(abs(lit))
-                if c is None:
-                    break  # clause mentions an assumption-only variable
-                canon_lits.append(c if lit > 0 else -c)
-            else:
-                entries.append([lbd] + canon_lits)
-        if entries:
-            fkey = self._formula_key()
-            self._learned_seen.add(fkey)
-            self._cache.put_learned(fkey, entries)
 
     def _replay_model(
         self, true_canon: list[int], assumptions: tuple[int, ...]

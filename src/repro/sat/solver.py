@@ -96,10 +96,6 @@ class SolverStats:
     #: :class:`repro.sat.cache.CachingSatSolver`, zero otherwise).
     cache_hits: int = stat_counter()
     cache_misses: int = stat_counter()
-    #: Learned clauses imported from an isomorphic previously-solved
-    #: query (see :meth:`CDCLSolver.import_learned` and the SAT cache's
-    #: learned-clause store).
-    learned_imported: int = stat_counter()
     #: Clauses deleted by the lazy root-satisfied sweep that runs after a
     #: root unit lands between solves (retired gates kill their blocking
     #: clauses this way).
@@ -107,11 +103,6 @@ class SolverStats:
     #: Solve calls that kept at least one assumption level from the
     #: previous call instead of rewinding to level 0.
     assumption_prefix_reused: int = stat_counter()
-    #: Portfolio-mode counters (populated by
-    #: :class:`repro.sat.portfolio.PortfolioSolver`, zero otherwise):
-    #: races actually run, and conflicts spent by losing configurations.
-    portfolio_races: int = stat_counter()
-    portfolio_wasted_conflicts: int = stat_counter()
 
 
 def accumulate_stats(totals: dict[str, int], stats: "SolverStats") -> None:
@@ -129,12 +120,11 @@ def accumulate_stats(totals: dict[str, int], stats: "SolverStats") -> None:
 class SolveResult:
     """Outcome of a solve call.
 
-    ``satisfiable`` is None when the solver hit ``conflict_budget``
-    (unknown); otherwise ``model`` maps every variable to a boolean when
-    satisfiable and is None when unsatisfiable.
+    ``model`` maps every variable to a boolean when satisfiable and is
+    None when unsatisfiable.
     """
 
-    satisfiable: bool | None
+    satisfiable: bool
     model: dict[int, bool] | None = None
     stats: SolverStats = field(default_factory=SolverStats)
 
@@ -168,10 +158,8 @@ class CDCLSolver:
         clause_decay: float = 0.999,
         restart_first: int = 100,
         restart_factor: float = 1.5,
-        restart_strategy: str = "geometric",
         phase_saving: bool = True,
         learned_limit_factor: float = 2.0,
-        seed: int = 0,
         incremental: bool = True,
     ) -> None:
         self._num_vars = 0
@@ -191,13 +179,9 @@ class CDCLSolver:
         self._cla_decay = clause_decay
         self._restart_first = restart_first
         self._restart_factor = restart_factor
-        if restart_strategy not in ("geometric", "luby"):
-            raise ValueError(f"unknown restart strategy {restart_strategy!r}")
-        self._restart_strategy = restart_strategy
         self._phase_saving = phase_saving
         self._saved_phase: list[bool] = [False]  # 1-indexed by variable
         self._learned_limit_factor = learned_limit_factor
-        self._seed = seed
         self._incremental = incremental
         #: Assumption literals currently installed on the trail;
         #: assumption i occupies decision level i+1.  Trimmed by
@@ -224,8 +208,6 @@ class CDCLSolver:
         #: snapshot into that call's stats so no counting is lost to the
         #: per-call stats reset.
         self._pending_preprocessed = 0
-        #: Clauses accepted by import_learned() since the last solve().
-        self._pending_imported = 0
         self.stats = SolverStats()
         if formula is not None:
             self.add_formula(formula)
@@ -240,20 +222,9 @@ class CDCLSolver:
             self._level.append(0)
             self._reason.append(None)
             self._seen.append(False)
-            if self._seed:
-                # Deterministic per-(seed, var) jitter: perturbs VSIDS
-                # tie-breaks and initial phases so differently-seeded
-                # solvers explore genuinely different search trees.
-                h = (v * 0x9E3779B1 + self._seed * 0x85EBCA77) & 0xFFFFFFFF
-                h ^= h >> 16
-                h = (h * 0x045D9F3B) & 0xFFFFFFFF
-                h ^= h >> 16
-                self._activity.append((h / 4294967296.0) * 1e-6)
-                self._saved_phase.append(bool(h & 1))
-            else:
-                self._activity.append(0.0)
-                self._saved_phase.append(False)
-            heappush(self._order_heap, (-self._activity[v], v))
+            self._activity.append(0.0)
+            self._saved_phase.append(False)
+            heappush(self._order_heap, (0.0, v))
 
     def add_formula(self, formula: CNF) -> None:
         self._ensure_var(formula.num_vars)
@@ -337,9 +308,9 @@ class CDCLSolver:
             self._clauses.append(clause)
             self._watch(clause)
             return
-        self._attach_clause(fixed, learned=False, lbd=0)
+        self._attach_clause(fixed)
 
-    def _attach_clause(self, lits: list[int], learned: bool, lbd: int) -> _Clause:
+    def _attach_clause(self, lits: list[int]) -> None:
         """Install a clause (>= 2 literals, none root-fixed) without
         rewinding to level 0.
 
@@ -359,8 +330,8 @@ class CDCLSolver:
             (lit for lit in lits if self._value(lit) == _FALSE),
             key=lambda lit: -self._level[abs(lit)],
         )
-        clause = _Clause(nonfalse + falses, learned=learned, lbd=lbd)
-        (self._learned if learned else self._clauses).append(clause)
+        clause = _Clause(nonfalse + falses)
+        self._clauses.append(clause)
         self._watch(clause)
         if len(nonfalse) == 1 and self._value(nonfalse[0]) == _UNASSIGNED:
             # Unit under the current assignment: assert it here with the
@@ -370,87 +341,10 @@ class CDCLSolver:
                 self._enqueue(nonfalse[0], clause)
             finally:
                 self.stats = saved_stats
-        return clause
 
     def _watch(self, clause: _Clause) -> None:
         for lit in clause.literals[:2]:
             self._watches.setdefault(lit, []).append(clause)
-
-    # -- learned-clause exchange ------------------------------------------
-
-    def export_learned(
-        self, limit: int = 64, max_lbd: int = 4, max_len: int = 16
-    ) -> list[tuple[list[int], int]]:
-        """Snapshot the most reusable learned clauses as
-        ``(literals, lbd)`` pairs, best (lowest LBD, then shortest) first.
-
-        Used by the SAT cache to persist lemmas per canonical formula so
-        an isomorphic future query can start from them instead of from
-        nothing."""
-        pool = [
-            c
-            for c in self._learned
-            if c.lbd <= max_lbd and len(c.literals) <= max_len
-        ]
-        pool.sort(key=lambda c: (c.lbd, len(c.literals)))
-        return [(sorted(c.literals, key=abs), c.lbd) for c in pool[:limit]]
-
-    def import_learned(self, records: Iterable[tuple[list[int], int]]) -> int:
-        """Install learned clauses exported from a solver that saw an
-        equisatisfiable clause set (e.g. the same canonical formula under
-        the cache's renaming).  Returns the number of clauses accepted.
-
-        Imported clauses are root-simplified like problem clauses but
-        join the *learned* database, so they keep their LBD (glue survives
-        reduction) and can be dropped again under memory pressure."""
-        count = 0
-        for lits, lbd in records:
-            if self._root_conflict:
-                break
-            simplified: list[int] = []
-            seen: set[int] = set()
-            satisfied = False
-            for lit in lits:
-                if lit == 0 or -lit in seen:
-                    satisfied = True  # malformed/tautological: skip record
-                    break
-                if lit in seen:
-                    continue
-                seen.add(lit)
-                self._ensure_var(abs(lit))
-                val = self._value(lit)
-                if val != _UNASSIGNED and self._level[abs(lit)] == 0:
-                    if val == _TRUE:
-                        satisfied = True
-                        break
-                    continue  # root-false: stripped
-                simplified.append(lit)
-            if satisfied:
-                continue
-            if not simplified:
-                # The lemma is false under the root assignment — and it is
-                # implied by the clause set, so the formula is root-UNSAT.
-                self._root_conflict = True
-                count += 1
-                break
-            if len(simplified) == 1:
-                self._backtrack(0)
-                saved_stats, self.stats = self.stats, SolverStats()
-                try:
-                    if (
-                        not self._enqueue(simplified[0], None)
-                        or self._propagate() is not None
-                    ):
-                        self._root_conflict = True
-                finally:
-                    self.stats = saved_stats
-                self._dead_sweep_pending = True
-                count += 1
-                continue
-            self._attach_clause(simplified, learned=True, lbd=lbd or len(simplified))
-            count += 1
-        self._pending_imported += count
-        return count
 
     # -- assignment primitives -------------------------------------------
 
@@ -759,11 +653,7 @@ class CDCLSolver:
 
     # -- main loop ----------------------------------------------------------
 
-    def solve(
-        self,
-        assumptions: Iterable[int] = (),
-        conflict_budget: int | None = None,
-    ) -> SolveResult:
+    def solve(self, assumptions: Iterable[int] = ()) -> SolveResult:
         """Solve the current clause set, optionally under unit assumptions.
 
         Assumptions are enqueued as pseudo-decisions below all real
@@ -779,13 +669,10 @@ class CDCLSolver:
         blocking clause lands — resumes the enumeration mid-search.
         """
         self.stats = SolverStats()
-        # Credit this call with the add-time preprocessing and clause
-        # imports done since the previous solve (the per-call stats reset
-        # must not lose them).
+        # Credit this call with the add-time preprocessing done since the
+        # previous solve (the per-call stats reset must not lose it).
         self.stats.preprocessed_clauses = self._pending_preprocessed
-        self.stats.learned_imported = self._pending_imported
         self._pending_preprocessed = 0
-        self._pending_imported = 0
         if self._root_conflict:
             return SolveResult(satisfiable=False, stats=self.stats)
 
@@ -838,12 +725,7 @@ class CDCLSolver:
                 self._backtrack(0)
                 return SolveResult(satisfiable=False, stats=self.stats)
 
-        restart_limit = (
-            self._restart_first * _luby(1)
-            if self._restart_strategy == "luby"
-            else self._restart_first
-        )
-        restart_count = 0
+        restart_limit = self._restart_first
         conflicts_since_restart = 0
         learned_limit = max(
             int(self._learned_limit_factor * max(len(self._clauses), 1)), 100
@@ -869,18 +751,10 @@ class CDCLSolver:
                     return SolveResult(satisfiable=False, stats=self.stats)
                 self._decay_var_activity()
                 self._cla_inc /= self._cla_decay
-                if conflict_budget is not None and self.stats.conflicts >= conflict_budget:
-                    if not self._incremental:
-                        self._backtrack(0)
-                    return SolveResult(satisfiable=None, stats=self.stats)
                 if conflicts_since_restart >= restart_limit:
                     self.stats.restarts += 1
-                    restart_count += 1
                     conflicts_since_restart = 0
-                    if self._restart_strategy == "luby":
-                        restart_limit = self._restart_first * _luby(restart_count + 1)
-                    else:
-                        restart_limit = int(restart_limit * self._restart_factor)
+                    restart_limit = int(restart_limit * self._restart_factor)
                     self._backtrack(num_assumptions)
                 if len(self._learned) > learned_limit:
                     self._reduce_learned()
@@ -906,18 +780,6 @@ class CDCLSolver:
             # most guard variables are off in any given path).
             phase = self._saved_phase[var] if self._phase_saving else False
             self._enqueue(var if phase else -var, None)
-
-
-def _luby(i: int) -> int:
-    """The i-th element (1-based) of the Luby restart sequence
-    1,1,2,1,1,2,4,1,1,2,1,1,2,4,8,... [Luby, Sinclair, Zuckerman 1993]."""
-    while True:
-        k = 1
-        while (1 << k) - 1 < i:
-            k += 1
-        if (1 << k) - 1 == i:
-            return 1 << (k - 1)
-        i = i - (1 << (k - 1)) + 1
 
 
 def solve_cnf(formula: CNF, assumptions: Iterable[int] = ()) -> SolveResult:

@@ -145,8 +145,6 @@ class WebSSARI:
         sanitize_in_place: bool = True,
         solver: SolverBackend = "cdcl",
         sat_cache: "SatQueryCache | None" = None,
-        restart_strategy: str = "geometric",
-        sat_seed: int = 0,
         sat_incremental: bool = True,
         parse_cache: "ParseCache | None" = None,
         closure_keys: bool = True,
@@ -159,22 +157,16 @@ class WebSSARI:
         #: Figure-6-faithful in-place sanitizer postconditions; see
         #: repro.ir.filter.ProgramFilter for the soundness caveat.
         self.sanitize_in_place = sanitize_in_place
-        #: SAT backend for the BMC engine: "cdcl" (the ZChaff stand-in),
-        #: "dpll" (the ablation baseline, markedly slower), or
-        #: "portfolio" (racing configurations for budget-blowing queries).
+        #: SAT backend for the BMC engine: "cdcl" (the ZChaff stand-in) or
+        #: "dpll" (the ablation baseline, markedly slower).
         self.solver = solver
         #: SAT-level query memo shared across every file this verifier
         #: checks (repro.sat.cache); None disables the layer.
         self.sat_cache = sat_cache
-        #: CDCL restart schedule ("geometric" | "luby") and VSIDS/phase
-        #: seed, threaded into the solver (primary lane in portfolio
-        #: mode) and folded into the engine policy fingerprint.
-        self.restart_strategy = restart_strategy
-        self.sat_seed = sat_seed
         #: Ablation switch for the incremental CDCL machinery (trail /
-        #: VSIDS / learned-clause retention across the enumeration and
-        #: cross-query lemma exchange).  True is the production default;
-        #: False measures the pre-incremental baseline in-process.
+        #: VSIDS / learned-clause retention across the enumeration).  True
+        #: is the production default; False measures the pre-incremental
+        #: baseline in-process.
         self.sat_incremental = sat_incremental
         #: Content-hash parse memo (repro.php.parsecache) shared by this
         #: verifier and — travelling inside the WorkerSession — every
@@ -261,8 +253,6 @@ class WebSSARI:
                 max_counterexamples=self.max_counterexamples,
                 solver_backend=self.solver,
                 sat_cache=self.sat_cache,
-                restart_strategy=self.restart_strategy,
-                sat_seed=self.sat_seed,
                 sat_incremental=self.sat_incremental,
             )
             grouping = group_errors(bmc_result)

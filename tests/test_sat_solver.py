@@ -136,10 +136,6 @@ class TestCDCLSpecific:
         solver = CDCLSolver(CNF([(1, 2)]))
         assert solver.solve(assumptions=[1, -1]).satisfiable is False
 
-    def test_conflict_budget_returns_unknown(self):
-        result = CDCLSolver(pigeonhole(6)).solve(conflict_budget=3)
-        assert result.satisfiable is None
-
     def test_add_clause_after_unsat_stays_unsat(self):
         solver = CDCLSolver(CNF([(1,), (-1,)]))
         assert solver.solve().satisfiable is False
@@ -172,23 +168,6 @@ class TestCDCLSpecific:
         lits = result.true_literals()
         assert 1 in lits and -2 in lits
 
-    def test_luby_sequence(self):
-        from repro.sat.solver import _luby
-
-        assert [_luby(i) for i in range(1, 16)] == [
-            1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8,
-        ]
-
-    def test_luby_restart_strategy_solves(self):
-        solver = CDCLSolver(pigeonhole(5), restart_strategy="luby", restart_first=2)
-        result = solver.solve()
-        assert result.satisfiable is False
-        assert result.stats.restarts > 0
-
-    def test_unknown_restart_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            CDCLSolver(CNF(), restart_strategy="random")
-
     def test_phase_saving_off_still_correct(self):
         solver = CDCLSolver(pigeonhole(4), phase_saving=False)
         assert solver.solve().satisfiable is False
@@ -207,10 +186,6 @@ class TestCDCLSpecific:
 
 
 class TestDPLLSpecific:
-    def test_budget_returns_unknown(self):
-        result = DPLLSolver(pigeonhole(5), max_decisions=2).solve()
-        assert result.satisfiable is None
-
     def test_pure_literal_elimination(self):
         # x2 appears only positively; solvable without branching on it.
         cnf = CNF([(1, 2), (-1, 2)])
