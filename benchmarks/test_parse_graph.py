@@ -89,7 +89,7 @@ def sweep(
     parse_cache: ParseCache | None = None,
     cache: ResultCache | None = None,
 ):
-    websari = WebSSARI(parse_cache=parse_cache, closure_keys=closure_keys)
+    websari = WebSSARI(parse_cache=parse_cache)
     engine = AuditEngine(websari=websari, config=EngineConfig(jobs=jobs, cache=cache))
     return engine.run(make_tasks(files, closure_keys=closure_keys))
 

@@ -565,8 +565,9 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         ResultCache,
         default_cache_dir,
     )
-
+    from repro.engine.worker import TaskBuilder
     from repro.obs import MetricsRegistry, Tracer, write_chrome_trace
+    from repro.php.includes import SourceProject
 
     shard = None
     if args.shard:
@@ -590,9 +591,15 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         print("no PHP files found", file=sys.stderr)
         return 2
 
-    tasks: list[AuditTask] = []
+    # One project over every collected file, rooted where the audited
+    # paths meet (so `repro watch` of that root builds the same tasks and
+    # cache keys); includes resolve within it.
+    root = os.path.commonpath(
+        [os.path.abspath(p if p.is_dir() else p.parent) for p in args.paths]
+    )
+    project = SourceProject()
+    entries: list[tuple[Path, str, str]] = []
     any_read_error = False
-    skipped_other_shards = 0
     for path in files:
         try:
             source = path.read_text()
@@ -600,10 +607,18 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             print(f"{path}: {error}", file=sys.stderr)
             any_read_error = True
             continue
+        entry = os.path.relpath(os.path.abspath(path), root)
+        project.add_file(entry, source)
+        entries.append((path, entry, source))
+
+    builder = TaskBuilder(project, websari.parse_cache)
+    tasks: list[AuditTask] = []
+    skipped_other_shards = 0
+    for path, entry, source in entries:
         if shard is not None and assign_shard(source, shard[1]) != shard[0]:
             skipped_other_shards += 1
             continue
-        tasks.append(AuditTask(index=len(tasks), filename=str(path), source=source))
+        tasks.append(builder.build(len(tasks), entry, filename=str(path))[0])
     if shard is not None:
         print(
             f"shard {args.shard}: {len(tasks)} of "

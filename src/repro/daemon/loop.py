@@ -20,9 +20,11 @@ Include-aware invalidation: with an
 its dirty files' include closures, updates the graph, and adds every
 transitive *includer* of a dirty (or deleted) file to the audit set —
 editing a shared library re-verifies exactly the entries that splice it
-instead of silently leaving them stale.  Files are audited as project
-entries (their closure travels with the task), so cache keys scope to
-what each entry can actually read.
+instead of silently leaving them stale.  Tasks come from the same
+:class:`~repro.engine.worker.TaskBuilder` as ``repro audit``'s (a file
+that includes nothing audits standalone; an includer carries its
+closure), so cache keys scope to what each entry can actually read and
+a watch over a tree shares cache entries with ``repro audit`` of it.
 
 Graceful shutdown: ``stop_event`` doubles as the engine's
 ``drain_event`` — a SIGINT/SIGTERM mid-cycle lets in-flight files
@@ -44,10 +46,10 @@ from pathlib import Path
 from repro.daemon.watcher import TreeWatcher
 from repro.engine import AuditEngine, AuditTask, EngineConfig, EngineResult, JsonlSink
 from repro.engine.cache import ResultCache
-from repro.engine.worker import project_content_digest
+from repro.engine.worker import TaskBuilder
 from repro.obs import MetricsRegistry
 from repro.php.errors import IncludeError
-from repro.php.includes import SourceProject, scan_includes
+from repro.php.includes import SourceProject
 from repro.php.parsecache import IncludeGraph
 
 __all__ = ["CycleResult", "WatchLoop"]
@@ -199,52 +201,11 @@ class WatchLoop:
         dirty = sorted(set(delta.dirty) | set(invalidated))
 
         project = _TreeProject({self._rel(path): path for path in sorted(tracked)})
-        parse_cache = self.websari.parse_cache
-        do_parse = parse_cache.parse if parse_cache is not None else None
-        closure_keys = self.websari.closure_keys
-        whole_tree: dict[str, str] | None = None
-        whole_digest: str | None = None
-
+        builder = TaskBuilder(project, self.websari.parse_cache)
         tasks: list[AuditTask] = []
         for path in dirty:
-            entry = self._rel(path)
             try:
-                scan = scan_includes(project, entry, parse_hook=do_parse)
-                standalone = (
-                    scan.closure == {entry}
-                    and not scan.missing
-                    and not scan.unresolved
-                )
-                if closure_keys and standalone:
-                    # No include machinery in play: a plain content-keyed
-                    # task, sharing cache entries with `repro audit` of
-                    # the same tree.  (An unparsable entry lands here too
-                    # — its verdict depends only on its own bytes.)
-                    task = AuditTask(
-                        index=len(tasks),
-                        filename=path,
-                        source=project.source(entry),
-                    )
-                elif closure_keys and not scan.widened:
-                    files = {p: project.source(p) for p in sorted(scan.closure)}
-                    task = AuditTask(
-                        index=len(tasks), filename=path, project_files=files, entry=entry
-                    )
-                else:
-                    # Whole-tree fallback: closure keying off, or the scan
-                    # could not bound this entry's dependencies.  The tree
-                    # snapshot and its digest are computed once per cycle.
-                    if whole_tree is None:
-                        whole_tree = {p: project.source(p) for p in project.paths()}
-                        whole_digest = project_content_digest(whole_tree)
-                    task = AuditTask(
-                        index=len(tasks),
-                        filename=path,
-                        project_files=whole_tree,
-                        entry=entry,
-                        closure_widened=scan.widened,
-                        project_digest=whole_digest if closure_keys else None,
-                    )
+                task, scan = builder.build(len(tasks), self._rel(path), filename=path)
             except (OSError, IncludeError) as exc:
                 # Raced away between poll and read; it will be reported
                 # deleted next poll.  Drop any stale record now.

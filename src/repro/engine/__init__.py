@@ -15,12 +15,19 @@ first-class engineered operation instead of a for-loop:
   AI / SAT), cache hit/miss counters and verdict tallies;
   :class:`JsonlSink` streams per-file records for machine consumption.
 
+* :class:`TaskBuilder` shapes each project entry into its task:
+  standalone when it includes nothing, else carrying its include
+  closure (or the whole project when the closure cannot be bounded).
+
 Entry points: the ``repro audit`` CLI subcommand, or::
 
-    from repro.engine import AuditEngine, AuditTask, EngineConfig
+    from repro.engine import AuditEngine, EngineConfig, TaskBuilder
+    from repro.php import SourceProject
 
-    engine = AuditEngine(config=EngineConfig(jobs=4, timeout=30.0))
-    result = engine.run([AuditTask(0, "a.php", source="<?php ...")])
+    project = SourceProject.from_directory("site")
+    builder = TaskBuilder(project)
+    tasks = [builder.build(i, path)[0] for i, path in enumerate(project.paths())]
+    result = AuditEngine(config=EngineConfig(jobs=4, timeout=30.0)).run(tasks)
     print(result.stats.summary_lines())
 """
 
@@ -35,7 +42,13 @@ from repro.engine.cache import (
 from repro.engine.jsonl import JsonlSink
 from repro.engine.scheduler import AuditEngine, EngineConfig, EngineResult
 from repro.engine.stats import EngineStats, ProgressPrinter
-from repro.engine.worker import AuditTask, FileOutcome, WorkerSession, execute_task
+from repro.engine.worker import (
+    AuditTask,
+    FileOutcome,
+    TaskBuilder,
+    WorkerSession,
+    execute_task,
+)
 
 __all__ = [
     "ENGINE_VERSION",
@@ -49,6 +62,7 @@ __all__ = [
     "JsonlSink",
     "ProgressPrinter",
     "ResultCache",
+    "TaskBuilder",
     "WorkerSession",
     "cache_key",
     "default_cache_dir",

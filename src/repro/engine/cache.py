@@ -57,8 +57,12 @@ __all__ = [
 #:  8: one CDCL configuration — the portfolio backend, cross-query
 #:  learned-clause import, Luby restarts and seeded search were removed,
 #:  so records lose their ``learned_imported``/``portfolio_*`` counters
-#:  and the fingerprint loses ``restart_strategy``/``sat_seed``.)
-ENGINE_VERSION = "8"
+#:  and the fingerprint loses ``restart_strategy``/``sat_seed``.
+#:  9: one task builder — project-entry keys gain the task filename, the
+#:  fingerprint loses the closure-keying switch (closure keys are the
+#:  only shape), and ``repro audit`` keys entries that include other
+#:  files by their closure instead of standalone.)
+ENGINE_VERSION = "9"
 
 #: Cache record schema version (independent of verdict semantics).
 _RECORD_VERSION = 1
@@ -103,12 +107,10 @@ def policy_fingerprint(websari: "WebSSARI") -> str:
                 # Ablation switch for the incremental machinery: verdicts
                 # agree either way, embedded counters do not.
                 "sat_incremental": websari.sat_incremental,
-                # Parse cache and closure-scoped keying are verdict-
-                # neutral too, but records embed parse-cache counters and
-                # closure scoping changes what a key covers — runs with
-                # different switches must not alias.
+                # The parse cache is verdict-neutral too, but records
+                # embed its counters — runs with and without it must
+                # not alias.
                 "parse_cache": websari.parse_cache is not None,
-                "closure_keys": websari.closure_keys,
                 # Witness replay adds the ``replay`` section to records:
                 # verdict-neutral, record-visible — runs with and without
                 # it must not serve each other's entries.

@@ -16,14 +16,12 @@ from dataclasses import dataclass, field
 from typing import IO, TYPE_CHECKING
 
 from repro.obs.ledger import SlowQueryLedger
+from repro.obs.tracer import STAGES
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.engine.worker import FileOutcome
 
-__all__ = ["EngineStats", "ProgressPrinter", "STAGES"]
-
-#: Pipeline stages the worker times individually.
-STAGES = ("parse", "filter", "ai", "sat", "replay")
+__all__ = ["EngineStats", "ProgressPrinter"]
 
 
 @dataclass

@@ -1,11 +1,15 @@
 """Per-file audit work unit: the code that runs inside a worker process.
 
 A :class:`AuditTask` describes one verification job — either a standalone
-source file or one entry point of a multi-file project (include
-resolution then happens inside the worker).  :func:`execute_task` runs
-the WebSSARI pipeline stage by stage, timing each (parse / filter / AI /
-SAT), and always returns a :class:`FileOutcome` — exceptions become
-structured error records rather than aborting the batch.
+source file or one entry point of a multi-file project carrying the
+files it may include (include resolution then happens inside the
+worker).  :class:`TaskBuilder` is the one place that decides which of
+the two shapes a project entry gets.  :func:`execute_task` calls the one
+pipeline, :meth:`WebSSARI.analyze <repro.websari.pipeline.WebSSARI.analyze>`
+(which times each stage: parse / filter / AI / SAT), adds witness replay
+when the policy asks for it, and always returns a :class:`FileOutcome` —
+exceptions become structured error records rather than aborting the
+batch.
 
 Everything crossing the process boundary (task in, outcome out) is
 picklable; the outcome additionally round-trips through JSON
@@ -24,9 +28,10 @@ import traceback
 from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
-from repro.obs import Tracer, get_tracer, set_tracer
+from repro.obs import Tracer, set_tracer, stage
 from repro.php.errors import FrontendError
-from repro.php.parsecache import content_digest
+from repro.php.includes import IncludeScan, SourceProject, scan_includes
+from repro.php.parsecache import ParseCache, content_digest
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.websari.pipeline import VerificationReport, WebSSARI
@@ -35,6 +40,7 @@ __all__ = [
     "AuditTask",
     "FileOutcome",
     "FileRef",
+    "TaskBuilder",
     "WorkerSession",
     "execute_task",
     "project_content_digest",
@@ -90,9 +96,8 @@ class AuditTask:
     filename: str
     #: Standalone mode: the PHP source text.
     source: str | None = None
-    #: Project mode: the files this entry's audit may read (path → text).
-    #: Historically the whole project; with closure-scoped scheduling it
-    #: is the entry's transitive include closure — which is also exactly
+    #: Project mode: the files this entry's audit may read (path → text):
+    #: the entry's transitive include closure — which is also exactly
     #: what ``cache_material`` hashes, so an edit to an included file
     #: invalidates precisely the entries that splice it.
     project_files: dict[str, str] | None = None
@@ -102,29 +107,90 @@ class AuditTask:
     #: then carries the whole project and keys on ``project_digest``.
     closure_widened: bool = False
     #: Precomputed whole-project content digest for widened tasks (the
-    #: scheduler computes it once per run instead of re-joining the full
+    #: builder computes it once per run instead of re-joining the full
     #: project per entry).
     project_digest: str | None = None
 
     def cache_material(self) -> tuple[str, str]:
         """(source-text, extra) pair feeding the content-addressed key.
 
-        The filename is part of the key because report text embeds it
-        (summaries, counterexample spans) — two files with identical
-        content must not serve each other's rendered records.  Project
-        entries hash the file set they carry (their include closure, or
-        historically the whole project); widened entries key on the
-        precomputed whole-project digest so *any* project edit
-        conservatively invalidates them.
+        The filename is part of the key because records carry it and
+        report text embeds it (summaries, counterexample spans) — two
+        files with identical content must not serve each other's
+        records.  Project entries hash the file set they carry (their
+        include closure); widened entries key on the precomputed
+        whole-project digest so *any* project edit conservatively
+        invalidates them.
         """
         if self.project_files is None:
             return self.source or "", f"file={self.filename}"
         if self.project_digest is not None:
-            return self.project_digest, f"entry={self.entry}|closure=widened"
+            return (
+                self.project_digest,
+                f"file={self.filename}|entry={self.entry}|closure=widened",
+            )
         joined = "\x00".join(
             f"{path}\x01{self.project_files[path]}" for path in sorted(self.project_files)
         )
-        return joined, f"entry={self.entry}"
+        return joined, f"file={self.filename}|entry={self.entry}"
+
+
+class TaskBuilder:
+    """Turns the entries of one project into :class:`AuditTask` objects.
+
+    Every caller that audits project files (``verify_project``,
+    ``repro audit``, ``repro watch``) shapes its tasks here, so equal
+    entries get equal tasks and cache keys.  Each entry's include
+    closure is scanned first; then the entry becomes:
+
+    * a standalone ``source=`` task when it has no include statement
+      (resolved, missing or dynamic) — keyed on its own bytes;
+    * a project task carrying its closure when the scan bounds it;
+    * a project task carrying the whole project, keyed on
+      ``project_digest``, when it cannot (dynamic includes, unparsable
+      members).  The snapshot and digest are computed once per builder.
+
+    Scans share one parse pass: the verifier's parse cache when it has
+    one, else a throwaway in-memory memo, so a prelude included by every
+    entry is parsed once.
+    """
+
+    def __init__(self, project: SourceProject, parse_cache: ParseCache | None = None) -> None:
+        self.project = project
+        self._parse = (parse_cache if parse_cache is not None else ParseCache()).parse
+        self._whole: tuple[dict[str, str], str] | None = None
+
+    def build(
+        self, index: int, entry: str, filename: str | None = None
+    ) -> tuple[AuditTask, IncludeScan]:
+        """The task for ``entry`` (named ``filename``, default the entry
+        itself) and the scan that shaped it.  Raises ``IncludeError``
+        for an entry missing from the project and ``OSError`` when a
+        disk-backed project cannot read a file."""
+        project = self.project
+        scan = scan_includes(project, entry, parse_hook=self._parse)
+        name = entry if filename is None else filename
+        if not (scan.edges or scan.missing or scan.unresolved):
+            # An unparsable entry lands here too: its verdict depends on
+            # its own bytes only.
+            task = AuditTask(index=index, filename=name, source=project.source(scan.entry))
+        elif not scan.widened:
+            files = {path: project.source(path) for path in sorted(scan.closure)}
+            task = AuditTask(index=index, filename=name, project_files=files, entry=entry)
+        else:
+            if self._whole is None:
+                whole = {path: project.source(path) for path in project.paths()}
+                self._whole = whole, project_content_digest(whole)
+            files, digest = self._whole
+            task = AuditTask(
+                index=index,
+                filename=name,
+                project_files=files,
+                entry=entry,
+                closure_widened=True,
+                project_digest=digest,
+            )
+        return task, scan
 
 
 @dataclass
@@ -254,109 +320,31 @@ def _run_stages(
     timings: dict[str, float],
     want_report: bool,
 ) -> FileOutcome:
-    from repro.ai.renaming import rename
-    from repro.ai.translate import translate_filter_result
-    from repro.analysis.grouping import group_errors
-    from repro.bmc.checker import check_program
-    from repro.ir.filter import filter_program
-    from repro.php.includes import SourceProject, resolve_includes
-    from repro.php.parser import parse
-    from repro.typestate.ts import analyze_commands
-    from repro.websari.pipeline import VerificationReport, count_statements
-
-    include_warnings: list[str] = []
-    includes_info: dict = {}
-    tracer = get_tracer()
-
-    parse_cache = websari.parse_cache
-    do_parse = parse_cache.parse if parse_cache is not None else parse
-
-    clock = time.perf_counter
-    mark = clock()
-    with tracer.span("parse"):
-        if task.project_files is not None:
-            assert task.entry is not None
-            hits_before = parse_cache.hits if parse_cache is not None else 0
-            misses_before = parse_cache.misses if parse_cache is not None else 0
-            project = SourceProject(task.project_files)
-            resolution = resolve_includes(project, task.entry, parse_hook=do_parse)
-            program = resolution.program
-            include_warnings = list(resolution.warnings)
-            # The entry's own program came back on the resolution — no
-            # second parse just to count its statements.
-            assert resolution.entry_program is not None
-            num_statements = count_statements(resolution.entry_program)
-            includes_info = {
-                "edges": len(resolution.edges),
-                "included_files": len(resolution.included_files),
-                "unresolved": len(resolution.unresolved),
-            }
-            if task.closure_widened:
-                includes_info["widened"] = True
-            if parse_cache is not None:
-                includes_info["parse_cache_hits"] = parse_cache.hits - hits_before
-                includes_info["parse_cache_misses"] = parse_cache.misses - misses_before
-        else:
-            # Standalone tasks may still parse through the cache (shared
-            # content across files, warm daemon cycles) but record no
-            # cache counters: their JSONL records stay byte-deterministic
-            # regardless of cache warmth, which the distributed-audit
-            # merge comparison relies on.
-            program = do_parse(task.source or "", task.filename)
-            num_statements = count_statements(program)
-    timings["parse"] = clock() - mark
-
-    mark = clock()
-    with tracer.span("filter"):
-        filtered = filter_program(
-            program,
-            prelude=websari.prelude,
-            max_unfold_depth=websari.max_unfold_depth,
-            sanitize_in_place=websari.sanitize_in_place,
+    if task.project_files is None:
+        # Standalone tasks may still parse through the cache (shared
+        # content across files, warm daemon cycles) but record no
+        # include facts: their JSONL records stay byte-deterministic
+        # regardless of cache warmth, which the distributed-audit merge
+        # comparison relies on.
+        report, includes = websari.analyze(task.filename, task.source, timings=timings)
+    else:
+        report, includes = websari.analyze(
+            task.filename,
+            project=SourceProject(task.project_files),
+            entry=task.entry,
+            timings=timings,
         )
-    timings["filter"] = clock() - mark
+        if task.closure_widened:
+            includes["widened"] = True
 
-    mark = clock()
-    with tracer.span("ai"):
-        ts_report = analyze_commands(filtered.commands, lattice=websari.lattice)
-        ai_program = translate_filter_result(filtered)
-        renamed = rename(ai_program)
-    timings["ai"] = clock() - mark
-
-    mark = clock()
-    with tracer.span("sat", backend=websari.solver):
-        bmc_result = check_program(
-            renamed,
-            lattice=websari.lattice,
-            accumulate=websari.accumulate,
-            max_counterexamples=websari.max_counterexamples,
-            solver_backend=websari.solver,
-            sat_cache=websari.sat_cache,
-            sat_incremental=websari.sat_incremental,
-        )
-        grouping = group_errors(bmc_result)
-    timings["sat"] = clock() - mark
-
-    report = VerificationReport(
-        filename=task.filename,
-        ts=ts_report,
-        bmc=bmc_result,
-        grouping=grouping,
-        num_statements=num_statements,
-        num_ai_branches=ai_program.num_branches,
-        num_ai_assertions=ai_program.num_assertions,
-        warnings=list(ai_program.warnings) + include_warnings,
-    )
-
-    replay_info: dict = {}
+    replay: dict = {}
     if websari.replay and not report.safe:
         from repro.replay import replay_for_task
 
-        mark = clock()
-        with tracer.span("replay"):
-            replay_info = replay_for_task(task, report)
-        timings["replay"] = clock() - mark
+        with stage("replay", timings):
+            replay = replay_for_task(task, report)
 
+    bmc = report.bmc
     return FileOutcome(
         filename=task.filename,
         status="ok",
@@ -369,11 +357,11 @@ def _run_stages(
         warnings=list(report.warnings),
         summary=report.summary(),
         detailed=report.detailed_report(),
-        includes=includes_info,
+        includes=includes,
         solver={
-            "backend": bmc_result.solver_backend,
-            "solve_calls": bmc_result.num_solve_calls,
-            **bmc_result.solver_stats,
+            "backend": bmc.solver_backend,
+            "solve_calls": bmc.num_solve_calls,
+            **bmc.solver_stats,
         },
         slow_queries=[
             {
@@ -381,9 +369,9 @@ def _run_stages(
                 "seconds": round(float(query.get("seconds", 0.0)), 6),
                 "file": task.filename,
             }
-            for query in bmc_result.slow_queries
+            for query in bmc.slow_queries
         ],
-        replay=replay_info,
+        replay=replay,
         report=report if want_report else None,
     )
 

@@ -51,11 +51,13 @@ from repro.obs.report import (
 from repro.obs.tracer import (
     NULL_SPAN,
     NULL_TRACER,
+    STAGES,
     Span,
     Tracer,
     get_tracer,
     set_tracer,
     span_from_dict,
+    stage,
 )
 
 __all__ = [
@@ -71,6 +73,7 @@ __all__ = [
     "NULL_SPAN",
     "NULL_TRACER",
     "ReportError",
+    "STAGES",
     "SlowQueryLedger",
     "Span",
     "Tracer",
@@ -85,6 +88,7 @@ __all__ = [
     "replay_disagreements",
     "set_tracer",
     "span_from_dict",
+    "stage",
     "summarize_run",
     "write_chrome_trace",
 ]

@@ -25,6 +25,7 @@ from pathlib import Path
 
 from repro.obs.ledger import SlowQueryLedger
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.tracer import STAGES
 
 __all__ = [
     "AuditRun",
@@ -38,9 +39,6 @@ __all__ = [
     "diff_runs",
     "render_diff",
 ]
-
-#: Pipeline stage order for latency sections (extra stages sort after).
-_STAGE_ORDER = ("parse", "filter", "ai", "sat", "replay")
 
 #: Quantiles surfaced in report latency breakdowns.
 _REPORT_QUANTILES = (0.5, 0.9, 0.99)
@@ -212,7 +210,7 @@ def _failures_by_status(records: list[dict]) -> dict[str, int]:
 
 def _stage_sort_key(stage: str) -> tuple[int, str]:
     return (
-        _STAGE_ORDER.index(stage) if stage in _STAGE_ORDER else len(_STAGE_ORDER),
+        STAGES.index(stage) if stage in STAGES else len(STAGES),
         stage,
     )
 

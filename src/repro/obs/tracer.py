@@ -37,16 +37,23 @@ import itertools
 import os
 import threading
 import time
+from contextlib import contextmanager
 
 __all__ = [
     "NULL_SPAN",
     "NULL_TRACER",
+    "STAGES",
     "Span",
     "Tracer",
     "get_tracer",
     "set_tracer",
     "span_from_dict",
+    "stage",
 ]
+
+#: The per-file pipeline stages in order: the span names under each
+#: file's root and the keys of a file record's ``timings``.
+STAGES = ("parse", "filter", "ai", "sat", "replay")
 
 
 class Span:
@@ -271,3 +278,14 @@ def set_tracer(tracer: Tracer | None) -> Tracer:
     previous = _active
     _active = tracer if tracer is not None else NULL_TRACER
     return previous
+
+
+@contextmanager
+def stage(name: str, timings: dict[str, float], **attrs):
+    """Run one pipeline stage under its span on the active tracer; when
+    it finishes without raising, store its wall seconds in
+    ``timings[name]``."""
+    started = time.perf_counter()
+    with _active.span(name, **attrs):
+        yield
+    timings[name] = time.perf_counter() - started

@@ -63,16 +63,13 @@ from pathlib import Path
 from repro.engine.jsonl import JsonlSink
 from repro.engine.stats import EngineStats
 from repro.engine.worker import FileOutcome
-from repro.obs import FleetMetrics, MetricsRegistry, Span, Tracer
+from repro.obs import STAGES, FleetMetrics, MetricsRegistry, Span, Tracer
 from repro.obs.ledger import SlowQueryLedger
 from repro.obs.metrics import DEFAULT_QUANTILES, PROMETHEUS_CONTENT_TYPE
 from repro.service.httpbase import HttpEndpoint, HttpError
 from repro.service.leases import LeaseQueue
 
 __all__ = ["Coordinator", "ServiceTask", "AuditJob", "WorkerInfo"]
-
-#: Stage order used when reconstructing spans from reported timings.
-_STAGE_ORDER = ("parse", "filter", "ai", "sat")
 
 
 @dataclass
@@ -487,7 +484,7 @@ class Coordinator(HttpEndpoint):
         if record.get("safe") is not None:
             root.attrs["safe"] = record["safe"]
         cursor = start
-        for stage in _STAGE_ORDER:
+        for stage in STAGES:
             seconds = timings.get(stage)
             if not isinstance(seconds, (int, float)):
                 continue

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.ai.renaming import RenamedProgram, rename
+from repro.ai.renaming import rename
 from repro.ai.translate import translate_filter_result
 from repro.analysis.grouping import GroupingResult, group_errors
 from repro.bmc.checker import AccumulatePolicy, BMCResult, check_program
@@ -27,12 +27,12 @@ from repro.instrument.instrumentor import (
     instrument_ts,
 )
 from repro.bmc.checker import SolverBackend
-from repro.ir.commands import count_commands
-from repro.ir.filter import FilterResult, filter_program
+from repro.ir.filter import filter_program
 from repro.lattice import FiniteLattice
-from repro.obs import get_tracer
+from repro.obs import get_tracer, stage
 from repro.php import ast_nodes as ast
-from repro.php.includes import SourceProject, resolve_includes, scan_includes
+from repro.php.errors import FrontendError
+from repro.php.includes import SourceProject, resolve_includes
 from repro.php.parsecache import ParseCache
 from repro.php.parser import parse
 from repro.policy.prelude import Prelude, default_php_prelude
@@ -147,7 +147,6 @@ class WebSSARI:
         sat_cache: "SatQueryCache | None" = None,
         sat_incremental: bool = True,
         parse_cache: "ParseCache | None" = None,
-        closure_keys: bool = True,
         replay: bool = False,
     ) -> None:
         self.prelude = prelude if prelude is not None else default_php_prelude()
@@ -172,11 +171,6 @@ class WebSSARI:
         #: verifier and — travelling inside the WorkerSession — every
         #: engine worker it spawns; None disables the layer.
         self.parse_cache = parse_cache
-        #: Scope project cache keys and worker task payloads to each
-        #: entry's transitive include closure instead of the whole
-        #: project (entries with dynamic includes conservatively widen
-        #: back).  False restores whole-project keying/shipping.
-        self.closure_keys = closure_keys
         #: Concrete witness replay (repro.replay): re-execute every BMC
         #: counterexample through the interpreter with a synthesized
         #: request and record confirmed/refuted/unsupported per trace.
@@ -214,38 +208,67 @@ class WebSSARI:
             return
         from pathlib import Path
 
-        from repro.php.parsecache import ParseCache
-
         self.parse_cache = ParseCache(persist_dir=Path(cache_root) / "parse")
 
-    # -- single source ---------------------------------------------------------
+    # -- the pipeline ----------------------------------------------------------
 
-    def verify_source(self, source: str, filename: str = "<string>") -> VerificationReport:
-        tracer = get_tracer()
-        with tracer.span("file", filename=filename):
-            with tracer.span("parse"):
-                program = parse(source, filename)
-            return self.verify_ast(program, filename)
+    def analyze(
+        self,
+        filename: str,
+        source: str | None = None,
+        *,
+        project: SourceProject | None = None,
+        entry: str | None = None,
+        timings: dict[str, float] | None = None,
+    ) -> tuple[VerificationReport, dict]:
+        """Run Figures 8–9 on one file: parse (or resolve ``entry``'s
+        includes in ``project``), filter, TS + AI + rename, SAT +
+        grouping.
 
-    def verify_ast(self, program: ast.Program, filename: str = "<string>") -> VerificationReport:
-        with get_tracer().span("filter"):
+        Returns the report and the include facts (``edges``,
+        ``included_files``, ``unresolved`` and, with a parse cache, its
+        hit/miss deltas) — empty for a standalone ``source``.  Each
+        stage runs under its tracer span and, when it succeeds, leaves
+        its wall seconds in ``timings``.  Frontend errors propagate.
+        """
+        timings = {} if timings is None else timings
+        parse_cache = self.parse_cache
+        do_parse = parse_cache.parse if parse_cache is not None else parse
+        includes: dict = {}
+        include_warnings: list[str] = []
+        with stage("parse", timings):
+            if project is None:
+                program = entry_program = do_parse(source or "", filename)
+            else:
+                assert entry is not None
+                hits = parse_cache.hits if parse_cache is not None else 0
+                misses = parse_cache.misses if parse_cache is not None else 0
+                resolution = resolve_includes(project, entry, parse_hook=do_parse)
+                program = resolution.program
+                # The entry's own program came back on the resolution —
+                # no second parse just to count its statements.
+                entry_program = resolution.entry_program
+                include_warnings = resolution.warnings
+                includes = {
+                    "edges": len(resolution.edges),
+                    "included_files": len(resolution.included_files),
+                    "unresolved": len(resolution.unresolved),
+                }
+                if parse_cache is not None:
+                    includes["parse_cache_hits"] = parse_cache.hits - hits
+                    includes["parse_cache_misses"] = parse_cache.misses - misses
+        with stage("filter", timings):
             filtered = filter_program(
                 program,
                 prelude=self.prelude,
                 max_unfold_depth=self.max_unfold_depth,
                 sanitize_in_place=self.sanitize_in_place,
             )
-        return self._verify_filtered(filtered, count_statements(program), filename)
-
-    def _verify_filtered(
-        self, filtered: FilterResult, num_statements: int, filename: str
-    ) -> VerificationReport:
-        tracer = get_tracer()
-        with tracer.span("ai"):
+        with stage("ai", timings):
             ts_report = analyze_commands(filtered.commands, lattice=self.lattice)
             ai_program = translate_filter_result(filtered)
-            renamed: RenamedProgram = rename(ai_program)
-        with tracer.span("sat", backend=self.solver):
+            renamed = rename(ai_program)
+        with stage("sat", timings, backend=self.solver):
             bmc_result = check_program(
                 renamed,
                 lattice=self.lattice,
@@ -256,16 +279,21 @@ class WebSSARI:
                 sat_incremental=self.sat_incremental,
             )
             grouping = group_errors(bmc_result)
-        return VerificationReport(
+        report = VerificationReport(
             filename=filename,
             ts=ts_report,
             bmc=bmc_result,
             grouping=grouping,
-            num_statements=num_statements,
+            num_statements=count_statements(entry_program),
             num_ai_branches=ai_program.num_branches,
             num_ai_assertions=ai_program.num_assertions,
-            warnings=list(ai_program.warnings),
+            warnings=list(ai_program.warnings) + include_warnings,
         )
+        return report, includes
+
+    def verify_source(self, source: str, filename: str = "<string>") -> VerificationReport:
+        with get_tracer().span("file", filename=filename):
+            return self.analyze(filename, source)[0]
 
     # -- patching ---------------------------------------------------------------
 
@@ -362,105 +390,26 @@ class WebSSARI:
 
         By default every ``.php`` file is treated as an entry point (the
         way a web server would expose them); pass ``entries`` to restrict.
-        With ``jobs`` > 1, entries are fanned over the batch-audit
-        engine's worker pool (``repro.engine``); results are identical to
-        the sequential path, in the same order.
+        Entries run through the batch-audit engine (``repro.engine``) as
+        the tasks :class:`~repro.engine.worker.TaskBuilder` shapes —
+        inline for ``jobs`` <= 1, else over that many worker processes;
+        reports come back in entry order either way.  A file that fails
+        to analyze raises (``FrontendError`` for frontend failures).
         """
+        from repro.engine import AuditEngine, EngineConfig
+        from repro.engine.worker import TaskBuilder
+
         paths = entries if entries is not None else project.paths()
-        if jobs is not None and jobs > 1:
-            return self._verify_project_parallel(project, paths, jobs)
-        do_parse = self.parse_cache.parse if self.parse_cache is not None else None
-        reports: list[VerificationReport] = []
-        total_statements = 0
-        for path in paths:
-            resolution = resolve_includes(project, path, parse_hook=do_parse)
-            program = resolution.program
-            assert resolution.entry_program is not None
-            own_statements = count_statements(resolution.entry_program)
-            total_statements += own_statements
-            filtered = filter_program(
-                program,
-                prelude=self.prelude,
-                max_unfold_depth=self.max_unfold_depth,
-                sanitize_in_place=self.sanitize_in_place,
-            )
-            report = self._verify_filtered(filtered, own_statements, path)
-            report.warnings.extend(resolution.warnings)
-            reports.append(report)
-        return ProjectReport(
-            reports=reports,
-            num_files=len(project),
-            num_statements=total_statements,
-        )
-
-    def _verify_project_parallel(
-        self, project: SourceProject, paths: list[str], jobs: int
-    ) -> ProjectReport:
-        """Fan entry files over the audit engine's worker pool.
-
-        Each worker resolves includes and verifies one entry, returning
-        the full :class:`VerificationReport`.  Analysis failures that the
-        sequential path would raise are re-raised here, so the two paths
-        have the same contract.
-
-        With :attr:`closure_keys` (the default) each task carries only
-        the entry's transitive include closure — computed up front with
-        one shared parse pass — so cache keys and pipe payloads scope to
-        what the entry can actually read.  Entries whose closure cannot
-        be bounded (dynamic includes, unparsable members) fall back to
-        the whole project and key on its digest.
-        """
-        from repro.engine import AuditEngine, AuditTask, EngineConfig
-        from repro.engine.worker import project_content_digest
-
-        files = {path: project.source(path) for path in project.paths()}
-        tasks: list[AuditTask] = []
-        if self.closure_keys:
-            # One shared parse pass across every entry's scan: without an
-            # attached cache a throwaway in-memory memo still guarantees
-            # the prelude parses once during scanning, not once per entry.
-            scan_parse = (self.parse_cache or ParseCache()).parse
-            whole_digest: str | None = None
-            for i, path in enumerate(paths):
-                scan = scan_includes(project, path, parse_hook=scan_parse)
-                if scan.widened:
-                    if whole_digest is None:
-                        whole_digest = project_content_digest(files)
-                    tasks.append(
-                        AuditTask(
-                            index=i,
-                            filename=path,
-                            project_files=files,
-                            entry=path,
-                            closure_widened=True,
-                            project_digest=whole_digest,
-                        )
-                    )
-                else:
-                    tasks.append(
-                        AuditTask(
-                            index=i,
-                            filename=path,
-                            project_files={p: files[p] for p in sorted(scan.closure)},
-                            entry=path,
-                        )
-                    )
-        else:
-            tasks = [
-                AuditTask(index=i, filename=path, project_files=files, entry=path)
-                for i, path in enumerate(paths)
-            ]
+        builder = TaskBuilder(project, self.parse_cache)
+        tasks = [builder.build(i, path)[0] for i, path in enumerate(paths)]
         engine = AuditEngine(
-            websari=self, config=EngineConfig(jobs=jobs, want_reports=True)
+            websari=self, config=EngineConfig(jobs=jobs or 1, want_reports=True)
         )
-        result = engine.run(tasks)
         reports: list[VerificationReport] = []
         total_statements = 0
-        for outcome in result.outcomes:
+        for outcome in engine.run(tasks).outcomes:
             if outcome.report is None:
                 if outcome.status == "frontend-error":
-                    from repro.php.errors import FrontendError
-
                     raise FrontendError(f"{outcome.filename}: {outcome.error}")
                 raise RuntimeError(
                     f"{outcome.filename}: {outcome.status}: {outcome.error}"

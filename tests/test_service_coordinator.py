@@ -10,7 +10,7 @@ import urllib.request
 
 import pytest
 
-from repro.obs import MetricsRegistry, load_audit
+from repro.obs import MetricsRegistry, Tracer, load_audit
 from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.service import Coordinator, LeaseQueue
 from repro.service.httpbase import HttpError
@@ -193,6 +193,21 @@ class TestWorkerProtocol:
         assert not run.truncated
         assert run.stats["total"] == 3
         assert run.node_stats["n1"]["files"] == 3
+
+    def test_stitched_span_keeps_replay_stage(self, clock):
+        tracer = Tracer(enabled=True)
+        coordinator = Coordinator(lease_timeout=10.0, clock=clock, tracer=tracer)
+        try:
+            coordinator.submit_files({"a.php": "<?php echo $_GET['q'];"})
+            worker = coordinator.register_worker("n1")
+            task = coordinator.lease_tasks(worker.worker_id)["tasks"][0]
+            record = record_for("a.php", safe=False)
+            record["timings"] = {"parse": 0.001, "sat": 0.002, "replay": 0.003}
+            assert coordinator.report_result(worker.worker_id, task["task_id"], record)
+        finally:
+            coordinator.close()
+        (root,) = tracer.take_roots()
+        assert [child.name for child in root.children] == ["parse", "sat", "replay"]
 
     def test_duplicate_result_rejected(self, coord):
         coord.submit_files({"a.php": "<?php ?>"})
